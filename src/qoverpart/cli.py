@@ -13,11 +13,12 @@ import io
 import json
 import os
 import sys
+import tempfile
 import urllib.request
 from typing import Sequence
 
 from .bijections import get_map
-from .enumerators import count_class, enumerate_class
+from .enumerators import count_class, count_sequence, enumerate_class
 from .harness import (
     DEFAULT_BOUND,
     compare_with_bfile,
@@ -38,6 +39,7 @@ from .partitions import (
 )
 
 CACHE_ENV = "QOVERPART_CACHE_DIR"
+FETCH_TIMEOUT_S = 30
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -138,7 +140,7 @@ def _cmd_count(args) -> int:
     if args.n is not None:
         rows = [(args.n, count_class(args.class_id, args.n))]
     else:
-        rows = [(n, count_class(args.class_id, n)) for n in range(args.max_n + 1)]
+        rows = list(enumerate(count_sequence(args.class_id, args.max_n)))
     if args.format == "records":
         text = "".join(
             json.dumps({"class": args.class_id, "n": n, "count": c}) + "\n"
@@ -239,10 +241,17 @@ def _fetch_bfile(identity_id: str) -> str:
     if not os.path.exists(path):
         os.makedirs(_cache_dir(), exist_ok=True)
         url = f"https://oeis.org/A{number}/{name}"
-        with urllib.request.urlopen(url) as resp:
+        with urllib.request.urlopen(url, timeout=FETCH_TIMEOUT_S) as resp:
             data = resp.read().decode()
-        with open(path, "w") as fh:
-            fh.write(data)
+        # a reader of the cache sees either no file or the whole b-file
+        fd, tmp = tempfile.mkstemp(dir=_cache_dir(), prefix=f".{name}.")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     return path
 
 

@@ -1,10 +1,17 @@
-"""Constraint-driven enumeration of partition and overpartition classes.
+"""Constraint-driven enumeration and counting of partition and overpartition classes.
 
 Classes are declarative: a PartitionClass restricts parts (parity, gaps,
 residues, forced or forbidden members), an OverpartitionClass adds rules for
 which magnitudes may carry an overline, with caps that may depend on the
-number of non-overlined parts.  Counting always walks the same generator as
-enumeration so the series engine stays the only independent oracle.
+number of non-overlined parts.
+
+Enumeration walks generators that build members part by part.  Counting does
+not: ``count_sequence`` fills one weight table per class, counting base
+partitions by weight and number of parts, and convolves it with a knapsack
+over the admissible overline sets for each number of parts.  Its cost is
+polynomial in the weight, and it shares only the class dataclasses and the
+overline admissibility rule with the generators, so a count checked against
+an enumeration is a check of two routes.
 """
 
 from __future__ import annotations
@@ -233,6 +240,153 @@ def iter_overpartitions(n: int, cls: OverpartitionClass) -> Iterator[Overpartiti
         for base in iter_partitions(m, cls.base):
             for ov in _iter_overlines(cls.rules, n - m, len(base)):
                 yield Overpartition(base, ov)
+
+
+# ---------------------------------------------------------------------------
+# counting by weight tables, independent of the generators above
+# ---------------------------------------------------------------------------
+
+# phase of an alternating-parity class before its first (largest) part
+_ANY_PARITY = 2
+
+
+def _add_rows(a: list[int], b: list[int]) -> list[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    out = a[:]
+    for i, x in enumerate(b):
+        out[i] += x
+    return out
+
+
+def _base_table(cls: PartitionClass, top: int) -> list[list[int]]:
+    """B[m][r]: members of weight m with r parts, for every m <= top.
+
+    Parts are placed largest first.  ``tables[rem][bound, near, phase, seen]``
+    counts, by number of parts, the ways to place the weight ``rem`` still
+    missing with parts <= bound, given what was placed so far:
+
+    - ``near`` bit i says bound + i is already a part.  Only the forbidden
+      consecutive-even/odd rules read it (is p + 2 a part?), so it stays 0
+      for other classes.
+    - ``phase`` is, for SLATER121_PATTERN, the parity of the number of parts
+      placed (a part at an odd position is followed by a strictly smaller
+      one).  For ALTERNATING_FROM_ODD_SMALLEST it is the parity the next part
+      must have: counted from the smallest part, the j-th part is j mod 2
+      exactly when neighbours alternate in parity and the smallest is odd.
+    - ``seen`` has one bit per must_contain part already placed.
+
+    An entry either skips ``bound`` (bound - 1 is the new limit) or places it,
+    so each one costs two lookups into entries of smaller (rem, bound).
+    """
+    gap = max(cls.min_gap, 1 if cls.distinct else 0)
+    slater = cls.parity is Parity.SLATER121_PATTERN
+    alternating = cls.parity is Parity.ALTERNATING_FROM_ODD_SMALLEST
+    near_bits = 0b111 if cls.forbid_consecutive_evens or cls.forbid_consecutive_odds else 0
+    must_bit = {p: 1 << i for i, p in enumerate(sorted(cls.must_contain))}
+    full = (1 << len(must_bit)) - 1
+    lowest = max(cls.min_part, 1)
+    phases = (0, 1, _ANY_PARITY) if alternating else (0, 1) if slater else (0,)
+    # the near values that lowering the bound and placing parts can reach
+    # (with a gap of 2 or more only 0 and 0b100)
+    steps = {gap, max(gap, 1)} if slater else {gap}
+    nears = {0}
+    pending = [0]
+    while pending:
+        near = pending.pop()
+        for after in [(near << 1) & near_bits] + [((near | 1) << s) & near_bits for s in steps]:
+            if after not in nears:
+                nears.add(after)
+                pending.append(after)
+    states = [(near, phase, seen) for near in sorted(nears)
+              for phase in phases for seen in range(full + 1)]
+
+    def fits(p: int, smallest: bool) -> bool:
+        """The rules on a part that do not depend on the parts above it."""
+        if cls.parity is Parity.ALL_ODD and p % 2 == 0:
+            return False
+        if cls.parity is Parity.ALL_EVEN and p % 2 == 1:
+            return False
+        if cls.residue_filter is not None:
+            modulus, allowed = cls.residue_filter
+            if p % modulus not in allowed:
+                return False
+        if smallest and alternating and p % 2 == 0:
+            return False
+        if smallest and cls.smallest_part_in is not None:
+            return p in cls.smallest_part_in
+        return True
+
+    def advance(p: int, phase: int) -> tuple[int, int]:
+        """The least drop to the next part, and the next phase, once p is placed."""
+        if slater:
+            return (max(gap, 1) if phase == 0 else gap), phase ^ 1
+        if alternating:
+            return gap, (p % 2) ^ 1
+        return gap, phase
+
+    tables: list[dict[tuple[int, int, int, int], list[int]]] = [{} for _ in range(top + 1)]
+
+    def lookup(rem: int, bound: int, near: int, phase: int, seen: int) -> list[int]:
+        if rem == 0:
+            return [1] if seen == full else []
+        if bound > rem:
+            near = (near << (bound - rem)) & near_bits
+            bound = rem
+        if bound < lowest:
+            return []
+        return tables[rem][bound, near, phase, seen]
+
+    for rem in range(1, top + 1):
+        table = tables[rem]
+        for p in range(lowest, rem + 1):
+            placeable = fits(p, smallest=p == rem)
+            pair_rule = (cls.forbid_consecutive_evens and p % 2 == 0
+                         or cls.forbid_consecutive_odds and p % 2 == 1)
+            phase_ok = (p % 2, _ANY_PARITY) if alternating else phases
+            for near, phase, seen in states:
+                # p left out: the limit drops to p - 1
+                row = lookup(rem, p - 1, (near << 1) & near_bits, phase, seen)
+                if placeable and not (pair_rule and near & 0b100) and phase in phase_ok:
+                    step, next_phase = advance(p, phase)
+                    rest = lookup(rem - p, p - step, ((near | 1) << step) & near_bits,
+                                  next_phase, seen | must_bit.get(p, 0))
+                    if rest:
+                        row = _add_rows(row, [0] + rest)
+                table[p, near, phase, seen] = row
+
+    start = _ANY_PARITY if alternating else 0
+    empty = [1] if not cls.must_contain and cls.smallest_part_in is None else []
+    return [empty] + [lookup(m, m, 0, start, 0) for m in range(1, top + 1)]
+
+
+def _overpartition_counts(cls: OverpartitionClass, top: int) -> list[int]:
+    """Class sizes at weights 0..top as sum over m, r of B[m][r] * O_r[n - m].
+
+    O_r[w] counts the distinct admissible overline sets of weight w when the
+    base partition has r parts.  Admissibility depends only on (v, r), so the
+    values of r that admit the same magnitudes share one knapsack, and their
+    base columns are summed before the convolution.
+    """
+    base = _base_table(cls.base, top)
+    columns: dict[tuple[int, ...], list[int]] = {}
+    for r in range(max(map(len, base), default=0)):
+        allowed = tuple(v for v in range(1, top + 1) if _admissible(cls.rules, v, r))
+        column = columns.setdefault(allowed, [0] * (top + 1))
+        for m, row in enumerate(base):
+            if r < len(row):
+                column[m] += row[r]
+    counts = [0] * (top + 1)
+    for allowed, column in columns.items():
+        overlines = [1] + [0] * top
+        for v in allowed:
+            for w in range(top, v - 1, -1):
+                overlines[w] += overlines[w - v]
+        for m, b in enumerate(column):
+            if b:
+                for w in range(top - m + 1):
+                    counts[m + w] += b * overlines[w]
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -499,15 +653,30 @@ def enumerate_class(class_id: str, n: int):
     raise ValueError(f"class {class_id!r} is count-only and cannot be enumerated")
 
 
-def count_class(class_id: str, n: int) -> int:
+def count_sequence(class_id: str, bound: int) -> list[int]:
+    """Class sizes at every weight 0..bound.
+
+    Partition and overpartition classes are counted from weight tables
+    (``_base_table``, ``_overpartition_counts``) that never call the
+    generators, so comparing a count with an enumeration compares two routes.
+    ``almost-sc`` walks its Frobenius generator and the pair classes use
+    ``count_stembridge_pairs``.
+    """
     kind = class_kind(class_id)
+    if bound < 0:
+        raise ValueError("weight must be nonnegative")
     if kind == "partition":
-        return sum(1 for _ in iter_partitions(n, PARTITION_CLASSES[class_id]))
+        return [sum(row) for row in _base_table(PARTITION_CLASSES[class_id], bound)]
     if kind == "overpartition":
-        return sum(1 for _ in iter_overpartitions(n, OVERPARTITION_CLASSES[class_id]))
+        return _overpartition_counts(OVERPARTITION_CLASSES[class_id], bound)
     if class_id == "almost-sc":
-        return sum(1 for _ in iter_almost_self_conjugate(n))
-    return count_stembridge_pairs(n, class_id.split(":", 1)[1])
+        return [sum(1 for _ in iter_almost_self_conjugate(n)) for n in range(bound + 1)]
+    variant = class_id.split(":", 1)[1]
+    return [count_stembridge_pairs(n, variant) for n in range(bound + 1)]
+
+
+def count_class(class_id: str, n: int) -> int:
+    return count_sequence(class_id, n)[n]
 
 
 def matches(class_id: str, obj) -> bool:

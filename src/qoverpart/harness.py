@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -23,7 +24,9 @@ from importlib import resources
 from typing import Callable, Iterable, Sequence
 
 from .bijections import get_map
-from .enumerators import count_class, enumerate_class
+# count_class is not called here; it stays importable from this module
+# because bench/spans.py traces the harness through that name
+from .enumerators import count_class, count_sequence, enumerate_class  # noqa: F401
 from .series import (
     LaurentSeries,
     PochhammerSpec,
@@ -57,16 +60,16 @@ class SideKind(Enum):
 class Side:
     """One independently computable face of an identity.
 
-    ``values(bound)`` returns the integer sequence for weights 0..bound.
-    Series-backed sides also expose ``series(order)`` so the verifier can
-    compare whole truncated series objects, not just sampled coefficients.
+    A side has either ``values(bound)``, the integer sequence for weights
+    0..bound, or ``series(order)``, a truncated series that the verifier
+    compares whole, not just at sampled coefficients.
     ``cap`` bounds how far the side is feasible to evaluate (pair counts and
     bijection images grow quickly; b-files simply end).
     """
 
     label: str
     kind: SideKind
-    values: Callable[[int], list[int]]
+    values: Callable[[int], list[int]] | None = None
     series: Callable[[int], LaurentSeries] | None = None
     proven: bool = True
     cap: int | None = None
@@ -106,7 +109,7 @@ class VerificationReport:
 
 def _count_values(class_id: str, shift: int = 0) -> Callable[[int], list[int]]:
     def values(bound: int) -> list[int]:
-        return [count_class(class_id, n + shift) for n in range(bound + 1)]
+        return count_sequence(class_id, bound + shift)[shift:]
 
     return values
 
@@ -124,13 +127,6 @@ def _pair_side(variant: str) -> Side:
 def _shifted_side(class_id: str, shift: int) -> Side:
     return Side(f"count:{class_id}@n+{shift}", SideKind.SHIFTED,
                 _count_values(class_id, shift))
-
-
-def _series_values(series_fn: Callable[[int], LaurentSeries]) -> Callable[[int], list[int]]:
-    def values(bound: int) -> list[int]:
-        return series_fn(bound).prefix(bound)
-
-    return values
 
 
 def _neg_exponent_mass(specs: Iterable[PochhammerSpec]) -> int:
@@ -197,7 +193,7 @@ def _sum_side(
     kind: SideKind = SideKind.SERIES_SUM,
 ) -> Side:
     fn = _sum_series(exponent, pochs, inverse, start, constant, scale)
-    return Side(label, kind, _series_values(fn), series=fn)
+    return Side(label, kind, series=fn)
 
 
 def _product_series(factors: tuple[ProductFactor, ...]) -> Callable[[int], LaurentSeries]:
@@ -209,7 +205,7 @@ def _product_series(factors: tuple[ProductFactor, ...]) -> Callable[[int], Laure
 
 def _product_side(label: str, factors: tuple[ProductFactor, ...]) -> Side:
     fn = _product_series(factors)
-    return Side(label, SideKind.SERIES_PRODUCT, _series_values(fn), series=fn)
+    return Side(label, SideKind.SERIES_PRODUCT, series=fn)
 
 
 # -- b-file handling ---------------------------------------------------------
@@ -955,8 +951,9 @@ def verify_all(
     """Verify every registered identity (or the given ids), ordered by id."""
     targets = sorted(ids) if ids is not None else registered_identity_ids()
     tasks = [(i, bound) for i in targets]
-    if jobs is not None and jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs or 1, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_verify_task, tasks))
     return [_verify_task(t) for t in tasks]
 

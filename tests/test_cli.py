@@ -288,6 +288,49 @@ def test_oeis_fetch_uses_the_cache_directory(tmp_path, capsys, monkeypatch):
     assert "MATCH" in out
 
 
+class FakeResponse:
+    def __init__(self, read):
+        self.read = read
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+
+def test_oeis_fetch_writes_the_cache_file_whole(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv(cli.CACHE_ENV, str(cache))
+    text = "".join(f"{n} {v}\n" for n, v in harness._bundled_bfile("a027349.txt"))
+    calls = []
+
+    def fake_urlopen(url, timeout=None):
+        calls.append((url, timeout))
+        return FakeResponse(lambda: text.encode())
+
+    monkeypatch.setattr(cli.urllib.request, "urlopen", fake_urlopen)
+    out = run_ok(capsys, ["oeis", "--id", "a027349", "--fetch", "--max-n", "40"])
+    assert "MATCH" in out
+    assert calls == [("https://oeis.org/A027349/b027349.txt", cli.FETCH_TIMEOUT_S)]
+    assert [p.name for p in cache.iterdir()] == ["b027349.txt"]
+    assert (cache / "b027349.txt").read_text() == text
+
+
+def test_oeis_fetch_that_fails_mid_read_leaves_no_cache_file(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv(cli.CACHE_ENV, str(cache))
+
+    def broken_read():
+        raise ConnectionResetError("connection dropped")
+
+    monkeypatch.setattr(cli.urllib.request, "urlopen",
+                        lambda url, timeout=None: FakeResponse(broken_read))
+    assert run(["oeis", "--id", "a027349", "--fetch", "--max-n", "40"]) == 2
+    assert "connection dropped" in capsys.readouterr().err
+    assert list(cache.iterdir()) == []
+
+
 # -- argument handling -------------------------------------------------------------------
 
 

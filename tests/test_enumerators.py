@@ -1,14 +1,18 @@
 import pytest
 
 from qoverpart.enumerators import (
+    OVERPARTITION_CLASSES,
+    PARTITION_CLASSES,
     OverlineRule,
     OverpartitionClass,
     PartitionClass,
     class_kind,
     count_class,
+    count_sequence,
     count_stembridge_pairs,
     enumerate_class,
     iter_overpartitions,
+    iter_partitions,
     matches,
     registered_class_ids,
 )
@@ -19,6 +23,7 @@ from qoverpart.series import (
     ProductSpec,
     apply_inverse_factors,
     monomial,
+    one,
     pochhammer,
     sum_terms,
 )
@@ -28,10 +33,11 @@ import oracles
 PAIR_LIMIT = 12
 DOUBLE_ENTRY_LIMIT = 30
 COUNT_CONSISTENCY_LIMIT = 40
-# the unrestricted overpartition class dwarfs every restricted one (walking it
-# twice through 40 is ~6M objects per walk), so its consistency check stops
-# where the cost is still a few seconds
+# the unrestricted overpartition class dwarfs every restricted one (enumerating
+# it through 40 is ~6M objects), so its consistency check stops where the
+# cost is still a few seconds
 UNRESTRICTED_COUNT_LIMIT = 30
+WALK_LIMIT = 22
 
 _partition_pool: dict[int, list[tuple[int, ...]]] = {}
 
@@ -60,6 +66,16 @@ def test_registry_shape():
 def test_unknown_class_lists_registered_ids():
     with pytest.raises(ValueError, match="unknown class 'nope'.*rr1"):
         count_class("nope", 3)
+    with pytest.raises(ValueError, match="unknown class 'nope'.*rr1"):
+        count_sequence("nope", 3)
+
+
+@pytest.mark.parametrize("class_id", ["d", "over", "almost-sc", "stembridge:gg1"])
+def test_counting_rejects_negative_weight(class_id):
+    with pytest.raises(ValueError, match="weight must be nonnegative"):
+        count_sequence(class_id, -1)
+    with pytest.raises(ValueError, match="weight must be nonnegative"):
+        count_class(class_id, -1)
 
 
 def test_pair_classes_are_count_only():
@@ -117,6 +133,41 @@ def test_distinct_odd_least_one_counts():
 def test_overpartition_count_of_three():
     assert count_class("over", 3) == 8
     assert sum(1 for _ in oracles.overpartitions_of(3)) == 8
+
+
+# -- weight tables against the generators ----------------------------------------
+
+
+@pytest.mark.parametrize(
+    "class_id",
+    [i for i in registered_class_ids() if class_kind(i) in ("partition", "overpartition")],
+)
+def test_count_sequence_matches_a_walk_of_the_generator(class_id):
+    if class_kind(class_id) == "partition":
+        cls = PARTITION_CLASSES[class_id]
+        walk = [sum(1 for _ in iter_partitions(n, cls)) for n in range(WALK_LIMIT + 1)]
+    else:
+        cls = OVERPARTITION_CLASSES[class_id]
+        walk = [sum(1 for _ in iter_overpartitions(n, cls)) for n in range(WALK_LIMIT + 1)]
+    assert count_sequence(class_id, WALK_LIMIT) == walk
+
+
+@pytest.mark.parametrize("class_id", registered_class_ids())
+def test_count_class_reads_the_sequence(class_id):
+    limit = 12
+    sequence = count_sequence(class_id, limit)
+    assert len(sequence) == limit + 1
+    assert [count_class(class_id, n) for n in range(limit)] == sequence[:limit]
+
+
+def test_overpartition_sequence_matches_its_product_to_120():
+    # (-q;q)_inf / (q;q)_inf, expanded by the series layer
+    order = 120
+    product = apply_inverse_factors(
+        one(order),
+        ProductSpec((ProductFactor(-1, 1, 1, 1), ProductFactor(1, 1, 1, -1))),
+    )
+    assert count_sequence("over", order) == product.prefix(order)
 
 
 # -- classical equinumerosities ------------------------------------------------

@@ -110,6 +110,38 @@ def test_verify_all_accepts_an_id_subset_and_parallel_jobs():
     assert [(r.id, r.status) for r in serial] == [(r.id, r.status) for r in parallel]
 
 
+@pytest.mark.parametrize("cpus,pool_sizes", [(4, [2]), (1, []), (None, [])])
+def test_verify_all_clamps_the_pool_to_tasks_and_cpus(monkeypatch, cpus, pool_sizes):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    reports = verify_all(4, ids=["frr", "euler"], jobs=3)
+    assert [r.status for r in reports] == ["PASS", "PASS"]
+    assert sizes == pool_sizes
+
+
+def test_series_sides_carry_no_values_function():
+    for record in builtin_identities():
+        for side in record.sides:
+            assert (side.values is None) == (side.series is not None), side.label
+
+
 def test_degenerate_claim_is_flagged_not_failed():
     report = verify("lebesgue:a=0,b=-1", 8)
     assert report.status == "FLAGGED"
