@@ -6,11 +6,23 @@ exponent it is valid to, and combining series with different truncation orders
 is an error rather than a guess.  Offsets may be negative (a few product
 factors below start at q^-1 or q^-2) but are guarded so a runaway computation
 fails loudly instead of allocating without bound.
+
+Products expand on a dense coefficient list with two in-place kernels,
+multiply and divide by one binomial (1 - sign*q^e), each one C-level pass.
+A sum side is built from one running term: stepping term n-1 to term n
+applies only the binomials whose net power changed.  Each negative-exponent
+factor (1 - sign*q^e) is kept as the monomial -sign*q^e times the power
+series (1 - sign*q^-e), so the running term carries no Laurent tail: it is
+cut at the precision its own lowest exponent leaves room for, and every
+coefficient through the order is exact however far a negative shift pulls a
+term back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, count, repeat
+from operator import add, mul, neg, sub
 from typing import Callable, Iterable
 
 INFINITE = float("inf")
@@ -18,6 +30,17 @@ INFINITE = float("inf")
 # The registered identities never need exponents below q^-2 per factor; a
 # construction landing below this bound is a bug, not a bigger computation.
 MIN_OFFSET = -128
+
+# A term family whose minimum exponent stays put this many terms running is
+# reported as divergent.
+STALL_GUARD = 100
+
+
+def _check_offset(offset: int) -> None:
+    if offset < MIN_OFFSET:
+        raise ValueError(
+            f"series offset {offset} fell below the Laurent guard {MIN_OFFSET}"
+        )
 
 
 class LaurentSeries:
@@ -41,10 +64,7 @@ class LaurentSeries:
             del parts[-1]
         if not parts:
             offset = order + 1
-        if offset < MIN_OFFSET:
-            raise ValueError(
-                f"series offset {offset} fell below the Laurent guard {MIN_OFFSET}"
-            )
+        _check_offset(offset)
         self.offset: int = offset
         self.coeffs: tuple[int, ...] = tuple(parts)
         self.order: int = order
@@ -199,45 +219,98 @@ class ProductSpec:
     factors: tuple[ProductFactor, ...]
 
 
-def _validate_family(sign: int, step: int, length) -> None:
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    if step < 1:
-        raise ValueError(f"step must be >= 1, got {step}")
-    if length is not INFINITE and (not isinstance(length, int) or length < 0):
-        raise ValueError(f"length must be a nonnegative integer or INFINITE, got {length}")
+def multiply_binomial(c: list[int], sign: int, e: int) -> None:
+    """c <- c * (1 - sign*q^e) in place, kept to len(c) coefficients; e >= 1."""
+    if e < len(c):
+        c[e:] = map(sub if sign == 1 else add, c[e:], c[:-e])
 
 
-def _mul_binomial(s: LaurentSeries, c: int, e: int) -> LaurentSeries:
-    """s * (1 + c*q^e) in one pass."""
-    if s.is_zero:
-        return s
-    lo = min(s.offset, s.offset + e)
-    hi = max(s.offset + len(s.coeffs), s.offset + e + len(s.coeffs))
-    out = [0] * (hi - lo)
-    base = s.offset - lo
-    for i, a in enumerate(s.coeffs):
-        out[base + i] += a
-        out[base + e + i] += c * a
-    return LaurentSeries(lo, out, s.order)
+def divide_binomial(c: list[int], sign: int, e: int) -> None:
+    """c <- c / (1 - sign*q^e) in place, kept to len(c) coefficients; e >= 1.
+
+    Each coefficient gains sign times the one e places below it, already
+    divided.  Short steps run a prefix sum over each residue class mod e; long
+    steps add whole blocks of e coefficients, so either way the Python-level
+    loop has at most about sqrt(len(c)) rounds.
+    """
+    n = len(c)
+    if e >= n:
+        return
+    if e * e >= n:
+        op = add if sign == 1 else sub
+        for k in range(e, n, e):
+            c[k:k + e] = map(op, c[k:k + e], c[k - e:k])
+    elif sign == 1:
+        for r in range(e):
+            c[r::e] = accumulate(c[r::e])
+    else:
+        # 1/(1 + q^e) = (1 - q^e) / (1 - q^2e)
+        multiply_binomial(c, 1, e)
+        divide_binomial(c, 1, 2 * e)
+
+
+def _family_exponents(f: ProductFactor) -> Iterable[int]:
+    """The increasing exponents shift + j*step of one checked factor family."""
+    if f.sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {f.sign}")
+    if f.step < 1:
+        raise ValueError(f"step must be >= 1, got {f.step}")
+    if f.length is not INFINITE and (not isinstance(f.length, int) or f.length < 0):
+        raise ValueError(f"length must be a nonnegative integer or INFINITE, got {f.length}")
+    if f.power not in (1, -1):
+        raise ValueError(f"factor power must be +1 or -1, got {f.power}")
+    if f.length is INFINITE:
+        return count(f.shift, f.step)
+    return range(f.shift, f.shift + f.length * f.step, f.step)
+
+
+def _as_factor(p: PochhammerSpec) -> ProductFactor:
+    return ProductFactor(p.sign, p.shift, p.step, 1, p.length)
+
+
+def _no_unit_constant_term(e: int) -> ValueError:
+    return ValueError(f"inverse factor with exponent {e} has no unit constant term")
+
+
+def _expand_family(c: list[int], offset: int, order: int, f: ProductFactor) -> int:
+    """Multiply the coefficients c of q^offset .. q^order in place by one family.
+
+    A factor with a negative exponent e is -sign*q^e*(1 - sign*q^-e): it is
+    applied as that positive binomial on a list padded by -e zeros at the
+    top, and then lowers the offset by -e.  Returns the new offset.
+    """
+    sign = f.sign
+    for e in _family_exponents(f):
+        if e > order - offset:
+            break
+        if f.power == -1:
+            if e < 1:
+                raise _no_unit_constant_term(e)
+            divide_binomial(c, sign, e)
+        elif e > 0:
+            multiply_binomial(c, sign, e)
+        elif e == 0:
+            c[:] = map(mul, c, repeat(1 - sign))
+        else:
+            _check_offset(offset + e)
+            c.extend(repeat(0, -e))
+            multiply_binomial(c, sign, -e)
+            if sign == 1:
+                c[:] = map(neg, c)
+            offset += e
+    return offset
 
 
 def pochhammer(spec: PochhammerSpec, order: int) -> LaurentSeries:
     """Expand a Pochhammer symbol as a truncated series.
 
-    An INFINITE length stops as soon as the factor exponent exceeds the
-    truncation order, since later factors are 1 modulo the truncation.
+    An INFINITE length stops at the first factor that cannot reach q^order.
+    Negative-exponent factors come first in the symbol, while the product is
+    still a polynomial, so the expansion is exact through q^order.
     """
-    _validate_family(spec.sign, spec.step, spec.length)
-    result = one(order)
-    j = 0
-    while j < spec.length:
-        e = spec.shift + j * spec.step
-        if e > order:
-            break
-        result = _mul_binomial(result, -spec.sign, e)
-        j += 1
-    return result
+    c = [1] + [0] * order
+    offset = _expand_family(c, 0, order, _as_factor(spec))
+    return LaurentSeries(offset, c, order)
 
 
 def apply_inverse_factors(series: LaurentSeries, spec: ProductSpec) -> LaurentSeries:
@@ -249,46 +322,30 @@ def apply_inverse_factors(series: LaurentSeries, spec: ProductSpec) -> LaurentSe
     would not be a power series, and that is reported as an error.
     """
     order = series.order
-    result = series
+    offset = series.offset
+    c = list(series.coeffs)
+    c.extend(repeat(0, order - offset + 1 - len(c)))
     for f in spec.factors:
-        _validate_family(f.sign, f.step, f.length)
-        if f.power not in (1, -1):
-            raise ValueError(f"factor power must be +1 or -1, got {f.power}")
-        if f.power == 1:
-            j = 0
-            while j < f.length:
-                e = f.shift + j * f.step
-                if e > order:
-                    break
-                result = _mul_binomial(result, -f.sign, e)
-                j += 1
-            continue
-        if result.is_zero:
-            continue
-        exponents = []
-        j = 0
-        while j < f.length:
-            e = f.shift + j * f.step
-            if e > order:
-                break
-            if e < 1:
-                raise ValueError(
-                    f"inverse factor with exponent {e} has no unit constant term"
-                )
-            exponents.append(e)
-            j += 1
-        coeffs = list(result.coeffs) + [0] * (order - result.offset + 1 - len(result.coeffs))
-        for e in exponents:
-            s = f.sign
-            for i in range(e, len(coeffs)):
-                if coeffs[i - e]:
-                    coeffs[i] += s * coeffs[i - e]
-        result = LaurentSeries(result.offset, coeffs, order)
-    return result
+        offset = _expand_family(c, offset, order, f)
+    return LaurentSeries(offset, c, order)
+
+
+def _guard_step(last_min: int | None, m: int, stall: int, guard: int) -> int:
+    """The stall count after a term with minimum exponent m; raises on a bad family."""
+    if last_min is None or m > last_min:
+        return 0
+    if m < last_min:
+        raise ValueError(f"term minimum exponent decreased from {last_min} to {m}")
+    if stall + 1 > guard:
+        raise ValueError(
+            f"term family stalled at minimum exponent {m} for more than "
+            f"{guard} terms; divergent family?"
+        )
+    return stall + 1
 
 
 def sum_terms(
-    terms: Iterable[LaurentSeries], order: int, guard: int = 100
+    terms: Iterable[LaurentSeries], order: int, guard: int = STALL_GUARD
 ) -> LaurentSeries:
     """Sum a family of term series whose minimum exponents grow without bound.
 
@@ -307,27 +364,97 @@ def sum_terms(
         m = t.min_exponent
         if m is None:
             break
-        if last_min is not None and m < last_min:
-            raise ValueError(
-                f"term minimum exponent decreased from {last_min} to {m}"
-            )
-        if last_min is not None and m == last_min:
-            stall += 1
-            if stall > guard:
-                raise ValueError(
-                    f"term family stalled at minimum exponent {m} for more than "
-                    f"{guard} terms; divergent family?"
-                )
-        else:
-            last_min = m
-            stall = 0
+        stall = _guard_step(last_min, m, stall, guard)
+        last_min = m
         total = total + t
     return total
 
 
-def geometric_inverse(factors: Iterable[tuple[int, int]], order: int) -> LaurentSeries:
-    """1 / prod (1 - sign*q^e) for (sign, e) pairs; convenience for tests."""
-    spec = ProductSpec(
-        tuple(ProductFactor(sign, e, 1, -1, 1) for sign, e in factors)
-    )
-    return apply_inverse_factors(one(order), spec)
+def sum_term_family(
+    exponent: Callable[[int], int],
+    pochs: Callable[[int], tuple[PochhammerSpec, ...]],
+    inverse: Callable[[int], tuple[ProductFactor, ...]],
+    order: int,
+    start: int = 0,
+    constant: int = 0,
+    scale: int = 1,
+) -> LaurentSeries:
+    """constant + scale * sum_{n >= start} q^exponent(n) * prod pochs(n) / prod inverse(n).
+
+    The terms share one running body.  Term n is
+    coef * q^(exponent(n) + mass(n)) * body, where mass(n) is the sum of the
+    negative factor exponents and the body is the product of the binomials
+    (1 - sign*q^|e|), e != 0, taken with their net powers: each factor with
+    e < 0 is -sign*q^e*(1 - sign*q^-e), and the e = 0 factors and the -sign
+    parts multiply into the integer coef.  The body is a power series with a
+    unit constant term, so stepping it from term n-1 to term n multiplies or
+    divides it in place by just the binomials whose net power changed, each
+    one pass, and keeping it to q^(order - exponent(n) - mass(n)) loses
+    nothing: every coefficient is exact through q^order, whatever the
+    negative exponents.
+
+    Summation stops at the first term whose lowest exponent,
+    exponent(n) + mass(n), exceeds the order.  That exponent must not
+    decrease from one term to the next, nor stay put for more than
+    ``STALL_GUARD`` terms.
+    """
+    body: list[int] = []
+    held: dict[tuple[int, int], int] = {}
+    total: list[int] | None = None
+    lo = 0
+    last_min: int | None = None
+    stall = 0
+    n = start
+    while True:
+        families = [_as_factor(p) for p in pochs(n)] + list(inverse(n))
+        mass = 0
+        for f in families:
+            for e in _family_exponents(f):
+                if e > 0:
+                    break
+                if f.power == -1:
+                    raise _no_unit_constant_term(e)
+                mass += e
+        m = exponent(n) + mass
+        if m > order:
+            break
+        stall = _guard_step(last_min, m, stall, STALL_GUARD)
+        last_min = m
+        if total is None:
+            _check_offset(m)
+            lo = min(m, 0)
+            total = [0] * (order - lo + 1)
+            body = [1] + [0] * (order - m)
+        del body[order - m + 1:]
+
+        powers: dict[tuple[int, int], int] = {}
+        for f in families:
+            for e in _family_exponents(f):
+                if e > order - m:
+                    break
+                key = (f.sign, e)
+                powers[key] = powers.get(key, 0) + f.power
+        coef = 1
+        for (sign, e), p in powers.items():
+            if e < 0:
+                coef *= (-sign) ** p
+            elif e == 0:
+                coef *= (1 - sign) ** p
+        for key in held.keys() | powers.keys():
+            sign, e = key
+            change = powers.get(key, 0) - held.get(key, 0)
+            if e and change:
+                step_body = multiply_binomial if change > 0 else divide_binomial
+                for _ in range(abs(change)):
+                    step_body(body, sign, abs(e))
+        held = powers
+        if coef:
+            term = body if coef == 1 else map(mul, body, repeat(coef))
+            total[m - lo:] = map(add, total[m - lo:], term)
+        n += 1
+    if total is None:
+        total = [0] * (order + 1)
+    if scale != 1:
+        total[:] = map(mul, total, repeat(scale))
+    total[-lo] += constant
+    return LaurentSeries(lo, total, order)

@@ -130,6 +130,27 @@ def test_coeff_records_format(capsys):
     assert all("sum" in row for row in rows)
 
 
+def test_coeff_keeps_terms_a_negative_shift_pulls_below_the_order(capsys):
+    # the n=1 term q^3 (1 + q^-1) reaches q^2 through its q^-1 factor
+    out = run_ok(capsys, ["coeff", "--id", "hgl2", "--max-n", "2", "--format", "csv"])
+    assert out == "n,sum,product:mod8-237\n0,1,1\n1,0,0\n2,1,1\n"
+
+
+@pytest.mark.parametrize(
+    "identity_id,side",
+    [("hgl4", "sum"), ("hgll4", "sum:quad"), ("lebesgue:a=0,b=-1", "sum")],
+)
+def test_coeff_at_small_orders_agrees_with_a_deep_expansion(capsys, identity_id, side):
+    def column(max_n):
+        out = run_ok(capsys, ["coeff", "--id", identity_id, "--side", side,
+                              "--max-n", str(max_n), "--format", "csv"])
+        return out.splitlines()[1:]
+
+    deep = column(40)
+    for k in (1, 2, 3, 5, 10, 11):
+        assert column(k) == deep[: k + 1], k
+
+
 # -- bijection ----------------------------------------------------------------------
 
 
@@ -229,6 +250,21 @@ def test_verify_failure_exits_1(capsys):
         assert "status FAIL" in out
     finally:
         del registry["rigged-fail"]
+
+
+@pytest.mark.parametrize("identity_id", ["hgl2", "stembridge:lg1"])
+def test_verify_passes_at_a_former_truncation_edge(capsys, identity_id):
+    out = run_ok(capsys, ["verify", "--id", identity_id, "--max-n", "209",
+                          "--format", "records", "--no-elapsed"])
+    assert json.loads(out)["status"] == "PASS"
+
+
+def test_verify_almost_sc_at_200_stops_its_walk_at_the_cap(capsys):
+    out = run_ok(capsys, ["verify", "--id", "almost-sc", "--max-n", "200",
+                          "--format", "records", "--no-elapsed"])
+    report = json.loads(out)
+    assert report["status"] == "PASS"
+    assert "side count:almost-sc evaluated to n <= 100 (cap)" in report["notes"]
 
 
 def test_verify_unknown_identity_exits_2(capsys):

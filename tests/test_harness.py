@@ -19,7 +19,7 @@ from qoverpart.harness import (
     verify,
     verify_all,
 )
-from qoverpart.series import LaurentSeries, one
+from qoverpart.series import LaurentSeries, PochhammerSpec, one
 
 import oracles
 
@@ -140,6 +140,32 @@ def test_series_sides_carry_no_values_function():
     for record in builtin_identities():
         for side in record.sides:
             assert (side.values is None) == (side.series is not None), side.label
+
+
+SERIES_IDS = [r.id for r in builtin_identities()
+              if any(s.series is not None for s in r.sides)]
+
+
+@pytest.mark.parametrize("identity_id", SERIES_IDS)
+def test_series_sides_agree_at_every_truncation_order(identity_id):
+    for side in get_identity(identity_id).sides:
+        if side.series is None:
+            continue
+        deep = side.series(260)
+        for k in range(221):
+            assert side.series(k) == LaurentSeries(deep.offset, deep.coeffs, k), (
+                side.label, k)
+
+
+def test_negative_exponent_surviving_summation_is_an_error():
+    # (1 + q^-1) + q + q^2 + ... keeps its q^-1
+    series = harness._sum_series(
+        lambda n: n,
+        lambda n: () if n else (PochhammerSpec(-1, -1, 1, 1),),
+        lambda n: (),
+    )
+    with pytest.raises(ValueError, match=r"negative exponent q\^-1 survived"):
+        series(10)
 
 
 def test_degenerate_claim_is_flagged_not_failed():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,10 +12,12 @@ from qoverpart.series import (
     ProductFactor,
     ProductSpec,
     apply_inverse_factors,
-    geometric_inverse,
+    divide_binomial,
     monomial,
+    multiply_binomial,
     one,
     pochhammer,
+    sum_term_family,
     sum_terms,
     zero,
 )
@@ -208,6 +212,13 @@ def test_negative_shift_split_agrees_away_from_the_truncation_edge():
     assert split.coeff(order) != whole.coeff(order)
 
 
+def test_negative_shift_pochhammer_is_exact_at_its_order():
+    # (-q^-1;q)_inf has a q^-1 * q^(order+1) term at q^order
+    assert pochhammer(PochhammerSpec(-1, -1, 1), 40).coeff(40) == pochhammer(
+        PochhammerSpec(-1, -1, 1), 41
+    ).coeff(40)
+
+
 def test_pochhammer_zero_length_is_one():
     assert pochhammer(PochhammerSpec(1, 1, 1, 0), 10) == one(10)
 
@@ -221,6 +232,52 @@ def test_pochhammer_validation():
         pochhammer(PochhammerSpec(1, 1, 1, -2), 10)
 
 
+# -- in-place binomial kernels -----------------------------------------------
+
+
+def naive_multiply(c, sign, e):
+    out = list(c)
+    for i in range(e, len(c)):
+        out[i] -= sign * c[i - e]
+    return out
+
+
+def naive_divide(c, sign, e):
+    out = list(c)
+    for i in range(e, len(out)):
+        out[i] += sign * out[i - e]
+    return out
+
+
+# e against a length of 30: e*e below the length (residue classes), at or
+# above it (blocks), e equal to or beyond the length (no change)
+@pytest.mark.parametrize("e", [1, 2, 3, 5, 6, 7, 15, 29, 30, 31, 45])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_kernels_match_naive_loops(sign, e):
+    rng = random.Random(1000 * e + sign)
+    for length in (30, rng.randrange(1, 60)):
+        c = [rng.randint(-50, 50) for _ in range(length)]
+        got = list(c)
+        multiply_binomial(got, sign, e)
+        assert got == naive_multiply(c, sign, e)
+        got = list(c)
+        divide_binomial(got, sign, e)
+        assert got == naive_divide(c, sign, e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(min_value=-10**6, max_value=10**6), max_size=70),
+    st.sampled_from((1, -1)),
+    st.integers(min_value=1, max_value=80),
+)
+def test_divide_undoes_multiply(c, sign, e):
+    got = list(c)
+    multiply_binomial(got, sign, e)
+    divide_binomial(got, sign, e)
+    assert got == c
+
+
 # -- inverse factors ---------------------------------------------------------
 
 
@@ -229,6 +286,14 @@ def test_inverse_product_gives_partition_numbers():
     spec = ProductSpec((ProductFactor(1, 1, 1, -1),))
     s = apply_inverse_factors(one(10), spec)
     assert s.prefix(10) == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
+
+
+def geometric_inverse(factors, order):
+    """1 / prod (1 - sign*q^e) for (sign, e) pairs."""
+    spec = ProductSpec(
+        tuple(ProductFactor(sign, e, 1, -1, 1) for sign, e in factors)
+    )
+    return apply_inverse_factors(one(order), spec)
 
 
 def test_inverse_of_plus_sign_alternates():
@@ -323,3 +388,66 @@ def test_sum_terms_reports_stalled_families_as_divergent():
 def test_sum_terms_rejects_mismatched_truncation_order():
     with pytest.raises(ValueError, match="differs"):
         sum_terms([one(5)], 6)
+
+
+# -- running-term sums -------------------------------------------------------
+
+
+def test_running_sum_matches_term_by_term_expansion():
+    # sum q^(n^2+n) (-q^-1;q^2)_n (-q^3;q^4)_1 / (q^2;q^2)_n, with a zero shift
+    # family that doubles every term after the first
+    order = 60
+
+    def pochs(n):
+        return (
+            PochhammerSpec(-1, -1, 2, n),
+            PochhammerSpec(-1, 3, 4, 1),
+            PochhammerSpec(-1, 0, 1, min(n, 1)),
+        )
+
+    def inverse(n):
+        return (ProductFactor(1, 2, 2, -1, n), ProductFactor(1, 2 * n + 1, 1, 1, 1))
+
+    deep = order + 40
+    terms = []
+    for n in range(12):
+        t = monomial(1, n * n + n, deep)
+        for p in pochs(n):
+            t = t * pochhammer(p, deep)
+        terms.append(apply_inverse_factors(t, ProductSpec(inverse(n))))
+    expected = sum_terms(terms, deep)
+    got = sum_term_family(lambda n: n * n + n, pochs, inverse, order)
+    assert got == LaurentSeries(expected.offset, expected.coeffs, order)
+
+
+def test_running_sum_applies_scale_and_constant():
+    s = sum_term_family(lambda n: n, lambda n: (), lambda n: (), 5, start=1,
+                        constant=1, scale=2)
+    assert s.prefix(5) == [1, 2, 2, 2, 2, 2]
+
+
+def test_running_sum_of_no_terms_is_the_constant():
+    s = sum_term_family(lambda n: 10 + n, lambda n: (), lambda n: (), 5, constant=3)
+    assert s == monomial(3, 0, 5)
+
+
+def test_running_sum_rejects_decreasing_minimum_exponent():
+    with pytest.raises(ValueError, match="decreased from 4 to 3"):
+        sum_term_family(lambda n: 4 - n, lambda n: (), lambda n: (), 10)
+
+
+def test_running_sum_reports_stalled_families_as_divergent():
+    with pytest.raises(ValueError, match="stalled at minimum exponent 1 for more than 100"):
+        sum_term_family(lambda n: 1, lambda n: (), lambda n: (), 10)
+
+
+def test_running_sum_rejects_an_inverse_factor_without_unit_constant_term():
+    with pytest.raises(ValueError, match="inverse factor with exponent 0 has no unit"):
+        sum_term_family(lambda n: n, lambda n: (),
+                        lambda n: (ProductFactor(1, 0, 2, -1, n),), 10)
+
+
+def test_running_sum_guards_its_laurent_offset():
+    with pytest.raises(ValueError, match="Laurent guard"):
+        sum_term_family(lambda n: n, lambda n: (PochhammerSpec(-1, -200, 1, 1),),
+                        lambda n: (), 10)
