@@ -14,6 +14,7 @@ from .enumerators import (
     count_stembridge_pairs,
     enumerate_class,
     matches,
+    partitions_upto,
     registered_class_ids,
 )
 from .harness import (
@@ -60,6 +61,7 @@ __all__ = [
     "parse_bfile",
     "parse_overpartition",
     "parse_partition",
+    "partitions_upto",
     "registered_class_ids",
     "registered_identity_ids",
     "registered_map_ids",

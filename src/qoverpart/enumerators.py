@@ -5,12 +5,20 @@ residues, forced or forbidden members), an OverpartitionClass adds rules for
 which magnitudes may carry an overline, with caps that may depend on the
 number of non-overlined parts.
 
-Enumeration walks generators that build members part by part.  Counting does
-not: ``count_sequence`` fills one weight table per class, counting base
-partitions by weight and number of parts, and convolves it with a knapsack
-over the admissible overline sets for each number of parts.  Its cost is
-polynomial in the weight, and it shares only the class dataclasses and the
-overline admissibility rule with the generators, so a count checked against
+Enumeration is one prefix walk per class, bounded by total weight: parts are
+added one at a time (largest first, or smallest first for the alternating
+parity pattern), only while they fit under the bound, and every prefix that
+passes the closing checks (a required part, the allowed smallest parts) is
+itself a member of its own weight.  So one pass with an explicit stack yields
+``(weight, member)`` for every weight up to the bound.  A single weight is
+that walk filtered, and an overpartition class walks its base once and
+attaches the overline sets.
+
+Counting does not walk: ``count_sequence`` fills one weight table per class,
+counting base partitions by weight and number of parts, and convolves it with
+a knapsack over the admissible overline sets for each number of parts.  Its
+cost is polynomial in the weight, and it shares only the class dataclasses and
+the overline admissibility rule with the generators, so a count checked against
 an enumeration is a check of two routes.
 """
 
@@ -181,44 +189,71 @@ def _next_bound(cls: PartitionClass, p: int, position: int) -> int:
     return p - max(cls.min_gap, 1 if cls.distinct else 0)
 
 
-def _descend(cls: PartitionClass, remaining: int, max_part: int, chosen: list[int]) -> Iterator[Partition]:
-    if remaining == 0:
-        if _close_ok(cls, chosen):
-            yield tuple(chosen)
-        return
-    top = min(max_part, remaining)
-    for p in range(top, cls.min_part - 1, -1):
-        if not _part_ok(cls, p, chosen):
+def _descend(cls: PartitionClass, bound: int) -> Iterator[tuple[int, Partition]]:
+    # parts are placed largest first; stack[i] is the next part to try after
+    # the first i parts, so the walk needs no recursion and no second frame
+    chosen: list[int] = []
+    weight = 0
+    if _close_ok(cls, chosen):
+        yield 0, ()
+    stack = [bound]
+    while stack:
+        p = stack[-1]
+        while p >= cls.min_part and not _part_ok(cls, p, chosen):
+            p -= 1
+        if p < cls.min_part:
+            stack.pop()
+            if chosen:
+                weight -= chosen.pop()
             continue
+        stack[-1] = p - 1
         chosen.append(p)
-        yield from _descend(cls, remaining - p, _next_bound(cls, p, len(chosen)), chosen)
-        chosen.pop()
+        weight += p
+        if _close_ok(cls, chosen):
+            yield weight, tuple(chosen)
+        stack.append(min(_next_bound(cls, p, len(chosen)), bound - weight))
 
 
-def _ascend_alternating(cls: PartitionClass, n: int) -> Iterator[Partition]:
+def _ascend_alternating(cls: PartitionClass, bound: int) -> Iterator[tuple[int, Partition]]:
     # built smallest-first because the parity pattern is anchored at the
-    # smallest part: the j-th part from below must be congruent to j mod 2
-    def rec(remaining: int, min_next: int, j: int, chosen: list[int]) -> Iterator[Partition]:
-        if remaining == 0:
-            if _close_ok(cls, chosen[::-1]):
-                yield tuple(reversed(chosen))
-            return
-        start = min_next if min_next % 2 == j % 2 else min_next + 1
-        for p in range(start, remaining + 1, 2):
-            chosen.append(p)
-            yield from rec(remaining - p, p + 1, j + 1, chosen)
-            chosen.pop()
+    # smallest part: the j-th part from below must be congruent to j mod 2,
+    # so each next part starts one above the last and steps by two
+    chosen: list[int] = []
+    weight = 0
+    if _close_ok(cls, chosen):
+        yield 0, ()
+    stack = [cls.min_part + 1 - cls.min_part % 2]
+    while stack:
+        p = stack[-1]
+        if p > bound - weight:
+            stack.pop()
+            if chosen:
+                weight -= chosen.pop()
+            continue
+        stack[-1] = p + 2
+        chosen.append(p)
+        weight += p
+        member = tuple(reversed(chosen))
+        if _close_ok(cls, member):
+            yield weight, member
+        stack.append(p + 1)
 
-    yield from rec(n, cls.min_part, 1, [])
+
+def iter_partitions_upto(bound: int, cls: PartitionClass) -> Iterator[tuple[int, Partition]]:
+    """(weight, member) for every member of weight <= bound, in one prefix walk.
+
+    Each prefix the walk builds is itself a candidate member, so every node
+    is visited once for all weights together.  Members come unsorted.
+    """
+    if bound < 0:
+        raise ValueError("weight must be nonnegative")
+    if cls.parity is Parity.ALTERNATING_FROM_ODD_SMALLEST:
+        return _ascend_alternating(cls, bound)
+    return _descend(cls, bound)
 
 
 def iter_partitions(n: int, cls: PartitionClass) -> Iterator[Partition]:
-    if n < 0:
-        raise ValueError("weight must be nonnegative")
-    if cls.parity is Parity.ALTERNATING_FROM_ODD_SMALLEST:
-        yield from _ascend_alternating(cls, n)
-    else:
-        yield from _descend(cls, n, n, [])
+    return (parts for w, parts in iter_partitions_upto(n, cls) if w == n)
 
 
 def _iter_overlines(rules: tuple[OverlineRule, ...], total: int, r: int) -> Iterator[tuple[int, ...]]:
@@ -236,10 +271,15 @@ def _iter_overlines(rules: tuple[OverlineRule, ...], total: int, r: int) -> Iter
 
 
 def iter_overpartitions(n: int, cls: OverpartitionClass) -> Iterator[Overpartition]:
-    for m in range(n, -1, -1):
-        for base in iter_partitions(m, cls.base):
-            for ov in _iter_overlines(cls.rules, n - m, len(base)):
-                yield Overpartition(base, ov)
+    # one walk of the base class; the overline sets for each (weight, number
+    # of parts) are listed once and shared by every base that needs them
+    overlines: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    for m, base in iter_partitions_upto(n, cls.base):
+        key = (n - m, len(base))
+        if key not in overlines:
+            overlines[key] = list(_iter_overlines(cls.rules, *key))
+        for ov in overlines[key]:
+            yield Overpartition(base, ov)
 
 
 # ---------------------------------------------------------------------------
@@ -651,6 +691,13 @@ def enumerate_class(class_id: str, n: int):
     if class_id == "almost-sc":
         return sorted(iter_almost_self_conjugate(n), reverse=True)
     raise ValueError(f"class {class_id!r} is count-only and cannot be enumerated")
+
+
+def partitions_upto(class_id: str, bound: int) -> Iterator[tuple[int, Partition]]:
+    """(weight, member) for every member of a partition class up to bound, unsorted."""
+    if class_kind(class_id) != "partition":
+        raise ValueError(f"class {class_id!r} is not a partition class")
+    return iter_partitions_upto(bound, PARTITION_CLASSES[class_id])
 
 
 def count_sequence(class_id: str, bound: int) -> list[int]:

@@ -24,10 +24,15 @@ from importlib import resources
 from typing import Callable, Iterable, Sequence
 
 from .bijections import get_map
-# count_class, pochhammer and sum_terms are not called here; they stay
-# importable from this module because bench/spans.py traces the harness
-# through those names
-from .enumerators import count_class, count_sequence, enumerate_class  # noqa: F401
+# count_class, enumerate_class, pochhammer and sum_terms are not called here;
+# they stay importable from this module because bench/spans.py traces the
+# harness through those names
+from .enumerators import (  # noqa: F401
+    count_class,
+    count_sequence,
+    enumerate_class,
+    partitions_upto,
+)
 from .series import (  # noqa: F401
     LaurentSeries,
     PochhammerSpec,
@@ -635,11 +640,13 @@ def _almost_sc_record() -> IdentityRecord:
 
 def _transport_record(record_id: str, map_id: str, source: str, target: str) -> IdentityRecord:
     def values(bound: int, map_id=map_id, source=source) -> list[int]:
-        spec = get_map(map_id)
-        out = []
-        for n in range(bound + 1):
-            out.append(len({spec.forward(lam) for lam in enumerate_class(source, n)}))
-        return out
+        # images are grouped by the weight of their source, so a map that
+        # moved weight would still be counted per n
+        forward = get_map(map_id).forward
+        images: list[set] = [set() for _ in range(bound + 1)]
+        for n, lam in partitions_upto(source, bound):
+            images[n].add(forward(lam))
+        return [len(s) for s in images]
 
     image = Side(f"image:{map_id}[{source}]", SideKind.MAP_IMAGE, values,
                  cap=TRANSPORT_BOUND)

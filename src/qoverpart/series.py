@@ -80,19 +80,31 @@ class LaurentSeries:
         """Lowest exponent with a nonzero coefficient, or None if zero."""
         return self.offset if self.coeffs else None
 
+    def _beyond_order(self, n: int) -> ValueError:
+        return ValueError(
+            f"coefficient of q^{n} requested beyond truncation order {self.order}"
+        )
+
     def coeff(self, n: int) -> int:
         """Coefficient of q^n.  Asking beyond the truncation order is an error."""
         if n > self.order:
-            raise ValueError(
-                f"coefficient of q^{n} requested beyond truncation order {self.order}"
-            )
+            raise self._beyond_order(n)
         i = n - self.offset
         if i < 0 or i >= len(self.coeffs):
             return 0
         return self.coeffs[i]
 
     def coeff_range(self, lo: int, hi: int) -> list[int]:
-        return [self.coeff(n) for n in range(lo, hi + 1)]
+        """Coefficients of q^lo .. q^hi, cut from one slice of ``coeffs``."""
+        width = hi - lo + 1
+        if width <= 0:
+            return []
+        if hi > self.order:
+            raise self._beyond_order(max(lo, self.order + 1))
+        start = lo - self.offset
+        head = min(max(-start, 0), width)
+        body = list(self.coeffs[max(start, 0):max(start + width, 0)])
+        return [0] * head + body + [0] * (width - head - len(body))
 
     def prefix(self, hi: int) -> list[int]:
         """Coefficients of q^0 .. q^hi."""

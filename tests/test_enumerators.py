@@ -13,7 +13,10 @@ from qoverpart.enumerators import (
     enumerate_class,
     iter_overpartitions,
     iter_partitions,
+    iter_partitions_upto,
     matches,
+    matches_partition,
+    partitions_upto,
     registered_class_ids,
 )
 from qoverpart.partitions import Overpartition, format_overpartition, weight
@@ -38,6 +41,7 @@ COUNT_CONSISTENCY_LIMIT = 40
 # cost is still a few seconds
 UNRESTRICTED_COUNT_LIMIT = 30
 WALK_LIMIT = 22
+PREFIX_WALK_LIMIT = 18
 
 _partition_pool: dict[int, list[tuple[int, ...]]] = {}
 
@@ -168,6 +172,47 @@ def test_overpartition_sequence_matches_its_product_to_120():
         ProductSpec((ProductFactor(-1, 1, 1, 1), ProductFactor(1, 1, 1, -1))),
     )
     assert count_sequence("over", order) == product.prefix(order)
+
+
+# -- the prefix walk against the filtered oracle ----------------------------------
+
+# every partition class, and the base class of every overpartition class
+# (the e-over base is the alternating, smallest-first walk)
+WALKED_CLASSES = {
+    **PARTITION_CLASSES,
+    **{f"{class_id} base": cls.base for class_id, cls in OVERPARTITION_CLASSES.items()},
+}
+
+
+@pytest.mark.parametrize("label", sorted(WALKED_CLASSES))
+def test_prefix_walk_yields_each_member_once_at_its_weight(label):
+    cls = WALKED_CLASSES[label]
+    pool = partitions_up_to(PREFIX_WALK_LIMIT)
+    walked = list(iter_partitions_upto(PREFIX_WALK_LIMIT, cls))
+    assert len({parts for _, parts in walked}) == len(walked)
+    assert all(w == sum(parts) for w, parts in walked)
+    for n in range(PREFIX_WALK_LIMIT + 1):
+        expected = sorted(p for p in pool[n] if matches_partition(cls, p))
+        assert sorted(parts for w, parts in walked if w == n) == expected, (label, n)
+
+
+def test_prefix_walk_rejects_a_negative_bound():
+    with pytest.raises(ValueError, match="weight must be nonnegative"):
+        iter_partitions_upto(-1, PARTITION_CLASSES["d"])
+    with pytest.raises(ValueError, match="weight must be nonnegative"):
+        iter_partitions_upto(-1, OVERPARTITION_CLASSES["e-over"].base)
+    with pytest.raises(ValueError, match="weight must be nonnegative"):
+        partitions_upto("d", -1)
+
+
+def test_partitions_upto_takes_only_partition_classes():
+    assert sorted(partitions_upto("d", 3)) == [
+        (0, ()), (1, (1,)), (2, (2,)), (3, (2, 1)), (3, (3,))
+    ]
+    with pytest.raises(ValueError, match="not a partition class"):
+        partitions_upto("over", 3)
+    with pytest.raises(ValueError, match="unknown class"):
+        partitions_upto("nope", 3)
 
 
 # -- classical equinumerosities ------------------------------------------------

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from qoverpart import harness
+from qoverpart.bijections import get_map
+from qoverpart.enumerators import matches
 from qoverpart.harness import (
     IdentityRecord,
     Side,
@@ -60,6 +62,23 @@ def test_transport_records_pair_image_with_target_count():
         assert labels[0].startswith("image:")
         assert labels[1].startswith("count:")
         assert all(s.cap == 35 for s in record.sides)
+
+
+TRANSPORT_IDS = [i for i in registered_identity_ids() if i.startswith("transport:")]
+
+
+@pytest.mark.parametrize("identity_id", TRANSPORT_IDS)
+def test_transport_image_side_matches_a_reference_over_the_oracle(identity_id):
+    bound = 25
+    image = get_identity(identity_id).sides[0]
+    # the label is image:<map>[<source>]
+    map_id, source = image.label[len("image:"):-1].split("[")
+    forward = get_map(map_id).forward
+    expected = [
+        len({forward(p) for p in oracles.partitions_of(n) if matches(source, p)})
+        for n in range(bound + 1)
+    ]
+    assert image.values(bound) == expected
 
 
 def test_unknown_identity_lists_registered_ids():

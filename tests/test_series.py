@@ -57,6 +57,44 @@ def test_zero_one_monomial():
     assert m.coeff(0) == 0
 
 
+def prefix_and_coefficients_one_by_one(s, hi):
+    """``s.prefix(hi)`` and the coefficients read one at a time, or their errors."""
+    outcomes = []
+    for read in (lambda: s.prefix(hi), lambda: [s.coeff(n) for n in range(hi + 1)]):
+        try:
+            outcomes.append(read())
+        except ValueError as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+def test_prefix_equals_its_coefficients_one_by_one():
+    rng = random.Random(11)
+    for _ in range(400):
+        order = rng.randint(0, 12)
+        s = LaurentSeries(rng.randint(-2, 5), [rng.randint(-3, 3) for _ in range(8)], order)
+        for hi in range(-1, order + 3):
+            by_prefix, one_by_one = prefix_and_coefficients_one_by_one(s, hi)
+            assert by_prefix == one_by_one, (s, hi)
+
+
+def test_prefix_of_the_empty_series_and_below_the_offset():
+    assert zero(6).prefix(6) == [0] * 7
+    s = LaurentSeries(5, [2, 3], 10)
+    assert s.prefix(3) == [0] * 4
+    assert s.prefix(5) == [0, 0, 0, 0, 0, 2]
+    assert LaurentSeries(-2, [1, 4, 9], 10).prefix(1) == [9, 0]
+
+
+def test_prefix_past_the_order_raises_the_coefficient_error():
+    for s in (LaurentSeries(2, [1, 1], 4), zero(4), LaurentSeries(-2, [1], 4)):
+        with pytest.raises(ValueError, match=r"coefficient of q\^5 requested beyond "
+                                             r"truncation order 4"):
+            s.prefix(7)
+        by_prefix, one_by_one = prefix_and_coefficients_one_by_one(s, 7)
+        assert by_prefix == one_by_one
+
+
 def test_offset_guard_rejects_runaway_laurent_tails():
     with pytest.raises(ValueError, match="Laurent guard"):
         LaurentSeries(MIN_OFFSET - 1, [1], 10)
