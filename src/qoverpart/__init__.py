@@ -36,16 +36,14 @@ from .partitions import (
     parse_partition,
     weight,
 )
-from .series import LaurentSeries, PochhammerSpec, ProductFactor, ProductSpec
+from .series import LaurentSeries, ProductFactor
 
 __version__ = "0.1.0"
 
 __all__ = [
     "LaurentSeries",
     "Overpartition",
-    "PochhammerSpec",
     "ProductFactor",
-    "ProductSpec",
     "builtin_identities",
     "compare_with_bfile",
     "conjugate",

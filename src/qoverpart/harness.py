@@ -35,9 +35,7 @@ from .enumerators import (  # noqa: F401
 )
 from .series import (  # noqa: F401
     LaurentSeries,
-    PochhammerSpec,
     ProductFactor,
-    ProductSpec,
     apply_inverse_factors,
     one,
     pochhammer,
@@ -138,48 +136,30 @@ def _shifted_side(class_id: str, shift: int) -> Side:
                 _count_values(class_id, shift))
 
 
-def _sum_series(
-    exponent: Callable[[int], int],
-    pochs: Callable[[int], tuple[PochhammerSpec, ...]],
-    inverse: Callable[[int], tuple[ProductFactor, ...]],
-    start: int = 0,
-    constant: int = 0,
-    scale: int = 1,
-) -> Callable[[int], LaurentSeries]:
-    def series(order: int) -> LaurentSeries:
-        total = sum_term_family(exponent, pochs, inverse, order, start, constant, scale)
-        m = total.min_exponent
-        if m is not None and m < 0:
-            raise ValueError(f"negative exponent q^{m} survived summation")
-        return total
-
-    return series
-
-
 def _sum_side(
     label: str,
     exponent: Callable[[int], int],
-    pochs: Callable[[int], tuple[PochhammerSpec, ...]] = lambda n: (),
-    inverse: Callable[[int], tuple[ProductFactor, ...]] = lambda n: (),
+    factors: Callable[[int], tuple[ProductFactor, ...]],
     start: int = 0,
     constant: int = 0,
     scale: int = 1,
     kind: SideKind = SideKind.SERIES_SUM,
 ) -> Side:
-    fn = _sum_series(exponent, pochs, inverse, start, constant, scale)
-    return Side(label, kind, series=fn)
-
-
-def _product_series(factors: tuple[ProductFactor, ...]) -> Callable[[int], LaurentSeries]:
     def series(order: int) -> LaurentSeries:
-        return apply_inverse_factors(one(order), ProductSpec(factors))
+        total = sum_term_family(exponent, factors, order, start, constant, scale)
+        m = total.min_exponent
+        if m is not None and m < 0:
+            raise ValueError(f"negative exponent q^{m} survived summation")
+        return total
 
-    return series
+    return Side(label, kind, series=series)
 
 
 def _product_side(label: str, factors: tuple[ProductFactor, ...]) -> Side:
-    fn = _product_series(factors)
-    return Side(label, SideKind.SERIES_PRODUCT, series=fn)
+    def series(order: int) -> LaurentSeries:
+        return apply_inverse_factors(one(order), factors)
+
+    return Side(label, SideKind.SERIES_PRODUCT, series=series)
 
 
 # -- b-file handling ---------------------------------------------------------
@@ -247,7 +227,6 @@ def _bfile_side(name: str, offset: int) -> Side:
 
 # -- registered identities ---------------------------------------------------
 
-P = PochhammerSpec
 F = ProductFactor
 
 _LEBESGUE_CASE_PRODUCTS = {
@@ -281,8 +260,7 @@ def _dk_record(k: int) -> IdentityRecord:
             _sum_side(
                 "sum",
                 lambda n, k=k: k * n + n * (n - 1) // 2,
-                lambda n, k=k: (P(-1, 1, 1, k - 1),),
-                lambda n: (F(1, 1, 1, -1, n),),
+                lambda n, k=k: (F(-1, 1, 1, 1, k - 1), F(1, 1, 1, -1, n)),
             ),
         ),
     )
@@ -299,13 +277,12 @@ def _thmd_record() -> IdentityRecord:
             _sum_side(
                 "sum:distinct",
                 lambda n: n * (n + 1) // 2,
-                inverse=lambda n: (F(1, 1, 1, -1, n),),
+                lambda n: (F(1, 1, 1, -1, n),),
             ),
             _sum_side(
                 "sum:over",
                 lambda n: n * (n + 1) // 2,
-                lambda n: (P(-1, 1, 1, n),),
-                lambda n: (F(1, 2, 2, -1, n),),
+                lambda n: (F(-1, 1, 1, 1, n), F(1, 2, 2, -1, n)),
             ),
         ),
     )
@@ -322,8 +299,7 @@ def _frr_record() -> IdentityRecord:
             _sum_side(
                 "sum",
                 lambda n: n * n,
-                lambda n: (P(-1, 1, 1, n),),
-                lambda n: (F(1, 2, 2, -1, n),),
+                lambda n: (F(-1, 1, 1, 1, n), F(1, 2, 2, -1, n)),
             ),
             _count_side("mod5-14"),
         ),
@@ -341,8 +317,7 @@ def _frr2_record() -> IdentityRecord:
             _sum_side(
                 "sum",
                 lambda n: n * n + n,
-                lambda n: (P(-1, 1, 1, n + 1),),
-                lambda n: (F(1, 2, 2, -1, n),),
+                lambda n: (F(-1, 1, 1, 1, n + 1), F(1, 2, 2, -1, n)),
             ),
         ),
     )
@@ -359,8 +334,7 @@ def _srr_record() -> IdentityRecord:
             _sum_side(
                 "sum",
                 lambda n: n * n + n,
-                lambda n: (P(-1, 1, 1, n),),
-                lambda n: (F(1, 2, 2, -1, n),),
+                lambda n: (F(-1, 1, 1, 1, n), F(1, 2, 2, -1, n)),
             ),
             _count_side("mod5-23"),
         ),
@@ -376,14 +350,12 @@ def _a027349_record() -> IdentityRecord:
             _sum_side(
                 "sum:a",
                 lambda n: n * n + 2 * n,
-                lambda n: (P(1, 1, 2, n),),
-                lambda n: (F(1, 1, 1, -1, 2 * n),),
+                lambda n: (F(1, 1, 2, 1, n), F(1, 1, 1, -1, 2 * n)),
             ),
             _sum_side(
                 "sum:b",
                 lambda n: n * n,
-                lambda n: (P(1, 1, 2, n + 1),),
-                lambda n: (F(1, 1, 1, -1, 2 * n),),
+                lambda n: (F(1, 1, 2, 1, n + 1), F(1, 1, 1, -1, 2 * n)),
             ),
             _shifted_side("distinct-odd-least1", 1),
             _bfile_side("a027349.txt", 0),
@@ -430,8 +402,7 @@ def _dgg_record() -> IdentityRecord:
             _sum_side(
                 "sum:difference",
                 lambda n: n * n,
-                lambda n: (P(-1, 1, 2, n),),
-                lambda n: (F(1, 2 * n, 1, 1, 1), F(1, 2, 2, -1, n)),
+                lambda n: (F(-1, 1, 2, 1, n), F(1, 2 * n, 1, 1, 1), F(1, 2, 2, -1, n)),
                 start=1,
             ),
         ),
@@ -472,8 +443,9 @@ def _lebesgue_record(alpha: int, beta: int) -> IdentityRecord:
         _sum_side(
             "sum",
             lambda n: n * (n + 1),
-            lambda n, k=k, a=alpha, b=beta: (P(-1, k, 2, n), P(-1, b + 2, 4, a)),
-            lambda n: (F(1, 2, 2, -1, n),),
+            lambda n, k=k, a=alpha, b=beta: (
+                F(-1, k, 2, 1, n), F(-1, b + 2, 4, 1, a), F(1, 2, 2, -1, n)
+            ),
         ),
     ]
     if alpha >= 1:
@@ -481,8 +453,9 @@ def _lebesgue_record(alpha: int, beta: int) -> IdentityRecord:
             _sum_side(
                 "sum:alt",
                 lambda n: n * (n + 1),
-                lambda n, k=k, a=alpha, b=beta: (P(-1, k - 2, 2, n + 1), P(-1, b + 2, 4, a - 1)),
-                lambda n: (F(1, 2, 2, -1, n),),
+                lambda n, k=k, a=alpha, b=beta: (
+                    F(-1, k - 2, 2, 1, n + 1), F(-1, b + 2, 4, 1, a - 1), F(1, 2, 2, -1, n)
+                ),
             )
         )
     sides.append(_product_side("product:case", _LEBESGUE_CASE_PRODUCTS[beta]))
@@ -503,14 +476,12 @@ def _lebesgue_k0_record() -> IdentityRecord:
             _sum_side(
                 "sum",
                 lambda n: n * (n + 1),
-                lambda n: (P(-1, 0, 2, n),),
-                lambda n: (F(1, 2, 2, -1, n),),
+                lambda n: (F(-1, 0, 2, 1, n), F(1, 2, 2, -1, n)),
             ),
             _sum_side(
                 "scaled:1+2*tail",
                 lambda n: n * (n + 1),
-                lambda n: (P(-1, 2, 2, n - 1),),
-                lambda n: (F(1, 2, 2, -1, n),),
+                lambda n: (F(-1, 2, 2, 1, n - 1), F(1, 2, 2, -1, n)),
                 start=1,
                 constant=1,
                 scale=2,
@@ -523,16 +494,16 @@ def _lebesgue_k0_record() -> IdentityRecord:
 
 
 _HGL_SUMS = {
-    "hgl1": ("sum", lambda n: 2 * n * n - n, lambda n: (P(-1, 1, 4, n),),
-             lambda n: (F(1, 2, 2, -1, 2 * n),)),
-    "hgl2": ("sum", lambda n: 2 * n * n + n, lambda n: (P(-1, -1, 4, n),),
-             lambda n: (F(1, 2, 2, -1, 2 * n),)),
-    "hgl3": ("sum", lambda n: 2 * n * n, lambda n: (P(-1, 0, 4, n),),
-             lambda n: (F(1, 2, 2, -1, 2 * n),)),
-    "hgl4": ("sum", lambda n: 2 * n * n + 2 * n, lambda n: (P(-1, -2, 4, n),),
-             lambda n: (F(1, 2, 2, -1, 2 * n),)),
-    "hgl5": ("sum", lambda n: 2 * n * n, lambda n: (P(-1, 2, 4, n),),
-             lambda n: (F(1, 4, 4, -1, n), F(1, 4, 4, -1, n))),
+    "hgl1": ("sum", lambda n: 2 * n * n - n,
+             lambda n: (F(-1, 1, 4, 1, n), F(1, 2, 2, -1, 2 * n))),
+    "hgl2": ("sum", lambda n: 2 * n * n + n,
+             lambda n: (F(-1, -1, 4, 1, n), F(1, 2, 2, -1, 2 * n))),
+    "hgl3": ("sum", lambda n: 2 * n * n,
+             lambda n: (F(-1, 0, 4, 1, n), F(1, 2, 2, -1, 2 * n))),
+    "hgl4": ("sum", lambda n: 2 * n * n + 2 * n,
+             lambda n: (F(-1, -2, 4, 1, n), F(1, 2, 2, -1, 2 * n))),
+    "hgl5": ("sum", lambda n: 2 * n * n,
+             lambda n: (F(-1, 2, 4, 1, n), F(1, 4, 4, -1, n), F(1, 4, 4, -1, n))),
 }
 
 _HGL_PRODUCTS = {
@@ -545,12 +516,12 @@ _HGL_PRODUCTS = {
 
 
 def _hgl_record(name: str) -> IdentityRecord:
-    label, expo, pochs, inv = _HGL_SUMS[name]
+    label, expo, family = _HGL_SUMS[name]
     plabel, factors = _HGL_PRODUCTS[name]
     return IdentityRecord(
         name,
         "q-Gauss specialization: quadratic-exponent sum equals its product",
-        (_sum_side(label, expo, pochs, inv), _product_side(plabel, factors)),
+        (_sum_side(label, expo, family), _product_side(plabel, factors)),
     )
 
 
@@ -559,16 +530,17 @@ def _hgll_record(name: str) -> IdentityRecord:
     shift = {"hgll3": 0, "hgll4": 2}[name]
     aux = {"hgll3": 2, "hgll4": 4}[name]
     aux_step = {"hgll3": 4, "hgll4": 4}[name]
-    label, expo, pochs, inv = _HGL_SUMS[base]
+    label, expo, family = _HGL_SUMS[base]
     plabel, factors = _HGL_PRODUCTS[base]
-    sides = [_sum_side("sum:quad", expo, pochs, inv)]
+    sides = [_sum_side("sum:quad", expo, family)]
     for alpha in range(4):
         sides.append(
             _sum_side(
                 f"sum:lin:alpha={alpha}",
                 lambda n: n * (n + 1),
-                lambda n, a=alpha: (P(-1, 4 * a + shift, 2, n), P(-1, aux, aux_step, a)),
-                lambda n: (F(1, 2, 2, -1, n),),
+                lambda n, a=alpha: (
+                    F(-1, 4 * a + shift, 2, 1, n), F(-1, aux, aux_step, 1, a), F(1, 2, 2, -1, n)
+                ),
             )
         )
     sides.append(_product_side(plabel, factors))
@@ -588,8 +560,7 @@ def _slater47_record() -> IdentityRecord:
             _sum_side(
                 "sum",
                 lambda n: n * n,
-                lambda n: (P(-1, 0, 2, n),),
-                lambda n: (F(1, 1, 1, -1, 2 * n),),
+                lambda n: (F(-1, 0, 2, 1, n), F(1, 1, 1, -1, 2 * n)),
             ),
             _product_side(
                 "product:middle",
@@ -609,8 +580,7 @@ def _slater121_record() -> IdentityRecord:
             _sum_side(
                 "sum",
                 lambda n: n * n,
-                lambda n: (P(-1, 2, 2, n - 1),),
-                lambda n: (F(1, 1, 1, -1, 2 * n),),
+                lambda n: (F(-1, 2, 2, 1, n - 1), F(1, 1, 1, -1, 2 * n)),
                 start=1,
                 constant=1,
             ),
@@ -659,25 +629,25 @@ def _transport_record(record_id: str, map_id: str, source: str, target: str) -> 
 
 
 _STEMBRIDGE_SUMS = {
-    "gg1": (("sum", lambda n: n * n, lambda n: (P(-1, 1, 2, n),),
-             lambda n: (F(1, 2, 2, -1, n),)),),
-    "gg2": (("sum", lambda n: n * n + 2 * n, lambda n: (P(-1, 1, 2, n),),
-             lambda n: (F(1, 2, 2, -1, n),)),),
+    "gg1": (("sum", lambda n: n * n,
+             lambda n: (F(-1, 1, 2, 1, n), F(1, 2, 2, -1, n))),),
+    "gg2": (("sum", lambda n: n * n + 2 * n,
+             lambda n: (F(-1, 1, 2, 1, n), F(1, 2, 2, -1, n))),),
     "lg1": (
-        ("sum:laurent", lambda n: n * (n + 1), lambda n: (P(-1, -1, 2, n),),
-         lambda n: (F(1, 2, 2, -1, n),)),
-        ("sum:alt", lambda n: n * (n + 1), lambda n: (P(-1, 1, 2, n + 1),),
-         lambda n: (F(1, 2, 2, -1, n),)),
+        ("sum:laurent", lambda n: n * (n + 1),
+         lambda n: (F(-1, -1, 2, 1, n), F(1, 2, 2, -1, n))),
+        ("sum:alt", lambda n: n * (n + 1),
+         lambda n: (F(-1, 1, 2, 1, n + 1), F(1, 2, 2, -1, n))),
     ),
-    "lg2": (("sum", lambda n: n * n + n, lambda n: (P(-1, 1, 2, n),),
-             lambda n: (F(1, 2, 2, -1, n),)),),
+    "lg2": (("sum", lambda n: n * n + n,
+             lambda n: (F(-1, 1, 2, 1, n), F(1, 2, 2, -1, n))),),
 }
 
 
 def _stembridge_record(variant: str) -> IdentityRecord:
     sides = [_pair_side(variant)]
-    for label, expo, pochs, inv in _STEMBRIDGE_SUMS[variant]:
-        sides.append(_sum_side(label, expo, pochs, inv))
+    for label, expo, family in _STEMBRIDGE_SUMS[variant]:
+        sides.append(_sum_side(label, expo, family))
     return IdentityRecord(
         f"stembridge:{variant}",
         f"pairs of (almost-)self-conjugate partitions for the {variant} "

@@ -144,6 +144,14 @@ class LaurentSeries:
         return self + (-other)
 
     def __mul__(self, other):
+        """The product, truncated at the shared order.
+
+        It is exact only through q^(order + min(0, self.offset, other.offset)):
+        above that, a negative offset in one factor would need coefficients
+        of the other from beyond the order, which neither keeps.  So
+        (q^-1 + 1) * (-q;q)_inf gives 3 at q^5 at order 5, where the true
+        coefficient is 7.
+        """
         if isinstance(other, int):
             return LaurentSeries(
                 self.offset, [other * c for c in self.coeffs], self.order
@@ -202,33 +210,20 @@ def monomial(coefficient: int, exponent: int, order: int) -> LaurentSeries:
 
 
 @dataclass(frozen=True)
-class PochhammerSpec:
-    """Finite or infinite q-Pochhammer symbol (sign * q^shift ; q^step)_length.
+class ProductFactor:
+    """One family of binomial factors (1 - sign*q^(shift + j*step))^power, j < length.
 
-    ``sign`` is the sign inside the symbol, so sign=-1 expands to factors
-    (1 + q^(shift + j*step)) and sign=+1 to (1 - q^(shift + j*step)).
+    With power +1 this is the q-Pochhammer symbol
+    (sign * q^shift ; q^step)_length, ``sign`` being the sign inside the
+    symbol: sign=-1 expands to factors (1 + q^(shift + j*step)) and sign=+1
+    to (1 - q^(shift + j*step)).  Power -1 is the inverse of that symbol.
     """
 
     sign: int
     shift: int
     step: int
+    power: int = 1
     length: int | float = INFINITE
-
-
-@dataclass(frozen=True)
-class ProductFactor:
-    """One family of binomial factors (1 - sign*q^(shift + j*step))^power."""
-
-    sign: int
-    shift: int
-    step: int
-    power: int
-    length: int | float = INFINITE
-
-
-@dataclass(frozen=True)
-class ProductSpec:
-    factors: tuple[ProductFactor, ...]
 
 
 def multiply_binomial(c: list[int], sign: int, e: int) -> None:
@@ -276,10 +271,6 @@ def _family_exponents(f: ProductFactor) -> Iterable[int]:
     return range(f.shift, f.shift + f.length * f.step, f.step)
 
 
-def _as_factor(p: PochhammerSpec) -> ProductFactor:
-    return ProductFactor(p.sign, p.shift, p.step, 1, p.length)
-
-
 def _no_unit_constant_term(e: int) -> ValueError:
     return ValueError(f"inverse factor with exponent {e} has no unit constant term")
 
@@ -313,19 +304,21 @@ def _expand_family(c: list[int], offset: int, order: int, f: ProductFactor) -> i
     return offset
 
 
-def pochhammer(spec: PochhammerSpec, order: int) -> LaurentSeries:
-    """Expand a Pochhammer symbol as a truncated series.
+def pochhammer(f: ProductFactor, order: int) -> LaurentSeries:
+    """Expand one factor family, such as a Pochhammer symbol, as a truncated series.
 
     An INFINITE length stops at the first factor that cannot reach q^order.
     Negative-exponent factors come first in the symbol, while the product is
     still a polynomial, so the expansion is exact through q^order.
     """
     c = [1] + [0] * order
-    offset = _expand_family(c, 0, order, _as_factor(spec))
+    offset = _expand_family(c, 0, order, f)
     return LaurentSeries(offset, c, order)
 
 
-def apply_inverse_factors(series: LaurentSeries, spec: ProductSpec) -> LaurentSeries:
+def apply_inverse_factors(
+    series: LaurentSeries, factors: tuple[ProductFactor, ...]
+) -> LaurentSeries:
     """Multiply by a product of binomial factor families, powers +1 or -1.
 
     Power -1 families are expanded geometrically, e.g. 1/(1-q^k) =
@@ -337,7 +330,7 @@ def apply_inverse_factors(series: LaurentSeries, spec: ProductSpec) -> LaurentSe
     offset = series.offset
     c = list(series.coeffs)
     c.extend(repeat(0, order - offset + 1 - len(c)))
-    for f in spec.factors:
+    for f in factors:
         offset = _expand_family(c, offset, order, f)
     return LaurentSeries(offset, c, order)
 
@@ -384,14 +377,13 @@ def sum_terms(
 
 def sum_term_family(
     exponent: Callable[[int], int],
-    pochs: Callable[[int], tuple[PochhammerSpec, ...]],
-    inverse: Callable[[int], tuple[ProductFactor, ...]],
+    factors: Callable[[int], tuple[ProductFactor, ...]],
     order: int,
     start: int = 0,
     constant: int = 0,
     scale: int = 1,
 ) -> LaurentSeries:
-    """constant + scale * sum_{n >= start} q^exponent(n) * prod pochs(n) / prod inverse(n).
+    """constant + scale * sum_{n >= start} q^exponent(n) * prod factors(n).
 
     The terms share one running body.  Term n is
     coef * q^(exponent(n) + mass(n)) * body, where mass(n) is the sum of the
@@ -418,7 +410,7 @@ def sum_term_family(
     stall = 0
     n = start
     while True:
-        families = [_as_factor(p) for p in pochs(n)] + list(inverse(n))
+        families = factors(n)
         mass = 0
         for f in families:
             for e in _family_exponents(f):

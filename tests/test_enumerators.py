@@ -21,9 +21,7 @@ from qoverpart.enumerators import (
 )
 from qoverpart.partitions import Overpartition, format_overpartition, weight
 from qoverpart.series import (
-    PochhammerSpec,
     ProductFactor,
-    ProductSpec,
     apply_inverse_factors,
     monomial,
     one,
@@ -169,7 +167,7 @@ def test_overpartition_sequence_matches_its_product_to_120():
     order = 120
     product = apply_inverse_factors(
         one(order),
-        ProductSpec((ProductFactor(-1, 1, 1, 1), ProductFactor(1, 1, 1, -1))),
+        (ProductFactor(-1, 1, 1, 1), ProductFactor(1, 1, 1, -1)),
     )
     assert count_sequence("over", order) == product.prefix(order)
 
@@ -177,7 +175,9 @@ def test_overpartition_sequence_matches_its_product_to_120():
 # -- the prefix walk against the filtered oracle ----------------------------------
 
 # every partition class, and the base class of every overpartition class
-# (the e-over base is the alternating, smallest-first walk)
+# (the e-over base walks the alternating parity pattern largest first, as
+# parities alternating between neighbours above an odd smallest part, while
+# matches_partition checks it by position from below)
 WALKED_CLASSES = {
     **PARTITION_CLASSES,
     **{f"{class_id} base": cls.base for class_id, cls in OVERPARTITION_CLASSES.items()},
@@ -368,10 +368,10 @@ def test_goellnitz_gordon_counts_match_their_series_sum():
     k = 0
     while k * k <= order:
         term = monomial(1, k * k, order) * pochhammer(
-            PochhammerSpec(-1, 1, 2, k), order
+            ProductFactor(-1, 1, 2, 1, k), order
         )
         term = apply_inverse_factors(
-            term, ProductSpec((ProductFactor(1, 2, 2, -1, k),))
+            term, (ProductFactor(1, 2, 2, -1, k),)
         )
         terms.append(term)
         k += 1

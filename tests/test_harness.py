@@ -21,7 +21,7 @@ from qoverpart.harness import (
     verify,
     verify_all,
 )
-from qoverpart.series import LaurentSeries, PochhammerSpec, one
+from qoverpart.series import LaurentSeries, ProductFactor, one
 
 import oracles
 
@@ -178,11 +178,11 @@ def test_series_sides_agree_at_every_truncation_order(identity_id):
 
 def test_negative_exponent_surviving_summation_is_an_error():
     # (1 + q^-1) + q + q^2 + ... keeps its q^-1
-    series = harness._sum_series(
+    series = harness._sum_side(
+        "sum",
         lambda n: n,
-        lambda n: () if n else (PochhammerSpec(-1, -1, 1, 1),),
-        lambda n: (),
-    )
+        lambda n: () if n else (ProductFactor(-1, -1, 1, 1, 1),),
+    ).series
     with pytest.raises(ValueError, match=r"negative exponent q\^-1 survived"):
         series(10)
 

@@ -8,9 +8,7 @@ from qoverpart.series import (
     INFINITE,
     LaurentSeries,
     MIN_OFFSET,
-    PochhammerSpec,
     ProductFactor,
-    ProductSpec,
     apply_inverse_factors,
     divide_binomial,
     monomial,
@@ -178,6 +176,38 @@ def test_multiplication_matches_naive_convolution(a, b):
         assert prod.min_exponent >= a.min_exponent + b.min_exponent
 
 
+coefficient_lists = st.lists(st.integers(min_value=-9, max_value=9), max_size=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=-4, max_value=4),
+    coefficient_lists,
+    st.integers(min_value=-4, max_value=4),
+    coefficient_lists,
+    st.integers(min_value=0, max_value=20),
+)
+def test_product_is_exact_through_order_plus_the_lowest_negative_offset(
+    offset_a, coeffs_a, offset_b, coeffs_b, order
+):
+    a = LaurentSeries(offset_a, coeffs_a, order)
+    b = LaurentSeries(offset_b, coeffs_b, order)
+    deep = order + 10
+    reference = LaurentSeries(offset_a, coeffs_a, deep) * LaurentSeries(offset_b, coeffs_b, deep)
+    exact = order + min(0, a.offset, b.offset)
+    assert (a * b).coeff_range(-8, exact) == reference.coeff_range(-8, exact)
+
+
+def test_negative_offset_product_loses_its_top_coefficients():
+    # the q^5 coefficient of (q^-1 + 1) * (-q;q)_inf needs the symbol's q^6
+    # coefficient, which order 5 has dropped
+    symbol = ProductFactor(-1, 1, 1)
+    cut = LaurentSeries(-1, [1, 1], 5) * pochhammer(symbol, 5)
+    deep = LaurentSeries(-1, [1, 1], 9) * pochhammer(symbol, 9)
+    assert cut.coeff_range(-1, 4) == deep.coeff_range(-1, 4)
+    assert (cut.coeff(5), deep.coeff(5)) == (3, 7)
+
+
 @settings(max_examples=100, deadline=None)
 @given(series_strategy, series_strategy, series_strategy)
 def test_ring_laws(a, b, c):
@@ -192,31 +222,31 @@ def test_ring_laws(a, b, c):
 
 def test_finite_pochhammer_hand_case():
     # (q;q)_3 = (1-q)(1-q^2)(1-q^3)
-    s = pochhammer(PochhammerSpec(1, 1, 1, 3), 10)
+    s = pochhammer(ProductFactor(1, 1, 1, 1, 3), 10)
     assert s.prefix(6) == [1, -1, -1, 0, 1, 1, -1]
 
 
 def test_pochhammer_sign_is_inside_the_symbol():
     # (-q;q)_2 = (1+q)(1+q^2)
-    s = pochhammer(PochhammerSpec(-1, 1, 1, 2), 10)
+    s = pochhammer(ProductFactor(-1, 1, 1, 1, 2), 10)
     assert s.prefix(3) == [1, 1, 1, 1]
 
 
 def test_pochhammer_with_zero_shift_doubles():
     # (-1;q^2)_2 = (1+1)(1+q^2) = 2 + 2q^2
-    s = pochhammer(PochhammerSpec(-1, 0, 2, 2), 10)
+    s = pochhammer(ProductFactor(-1, 0, 2, 1, 2), 10)
     assert s.prefix(3) == [2, 0, 2, 0]
 
 
 def test_pochhammer_negative_shift_gives_laurent_offset():
     # (-q^-1;q^2)_2 = (1+q^-1)(1+q)
-    s = pochhammer(PochhammerSpec(-1, -1, 2, 2), 10)
+    s = pochhammer(ProductFactor(-1, -1, 2, 1, 2), 10)
     assert s.min_exponent == -1
     assert s.coeff_range(-1, 1) == [1, 2, 1]
 
 
 def test_infinite_pochhammer_counts_distinct_partitions():
-    s = pochhammer(PochhammerSpec(-1, 1, 1), 60)
+    s = pochhammer(ProductFactor(-1, 1, 1), 60)
     assert s.prefix(60) == neg_q_q_prefix(60)
     # the polynomial oracle itself is pinned to direct enumeration
     for n in range(31):
@@ -232,9 +262,9 @@ def test_infinite_pochhammer_counts_distinct_partitions():
 )
 def test_pochhammer_splits_into_finite_head_and_tail(sign, shift, step, head):
     order = 40
-    whole = pochhammer(PochhammerSpec(sign, shift, step), order)
-    front = pochhammer(PochhammerSpec(sign, shift, step, head), order)
-    tail = pochhammer(PochhammerSpec(sign, shift + head * step, step), order)
+    whole = pochhammer(ProductFactor(sign, shift, step), order)
+    front = pochhammer(ProductFactor(sign, shift, step, 1, head), order)
+    tail = pochhammer(ProductFactor(sign, shift + head * step, step), order)
     assert front * tail == whole
 
 
@@ -242,9 +272,9 @@ def test_negative_shift_split_agrees_away_from_the_truncation_edge():
     # a q^-1 head times the tail's trimmed top coefficient cannot be
     # recovered after splitting, so agreement stops |shift| below the order
     order = 40
-    whole = pochhammer(PochhammerSpec(-1, -1, 1), order)
-    front = pochhammer(PochhammerSpec(-1, -1, 1, 1), order)
-    tail = pochhammer(PochhammerSpec(-1, 0, 1), order)
+    whole = pochhammer(ProductFactor(-1, -1, 1), order)
+    front = pochhammer(ProductFactor(-1, -1, 1, 1, 1), order)
+    tail = pochhammer(ProductFactor(-1, 0, 1), order)
     split = front * tail
     assert split.coeff_range(-1, order - 1) == whole.coeff_range(-1, order - 1)
     assert split.coeff(order) != whole.coeff(order)
@@ -252,22 +282,22 @@ def test_negative_shift_split_agrees_away_from_the_truncation_edge():
 
 def test_negative_shift_pochhammer_is_exact_at_its_order():
     # (-q^-1;q)_inf has a q^-1 * q^(order+1) term at q^order
-    assert pochhammer(PochhammerSpec(-1, -1, 1), 40).coeff(40) == pochhammer(
-        PochhammerSpec(-1, -1, 1), 41
+    assert pochhammer(ProductFactor(-1, -1, 1), 40).coeff(40) == pochhammer(
+        ProductFactor(-1, -1, 1), 41
     ).coeff(40)
 
 
 def test_pochhammer_zero_length_is_one():
-    assert pochhammer(PochhammerSpec(1, 1, 1, 0), 10) == one(10)
+    assert pochhammer(ProductFactor(1, 1, 1, 1, 0), 10) == one(10)
 
 
 def test_pochhammer_validation():
     with pytest.raises(ValueError, match="sign"):
-        pochhammer(PochhammerSpec(2, 1, 1), 10)
+        pochhammer(ProductFactor(2, 1, 1), 10)
     with pytest.raises(ValueError, match="step"):
-        pochhammer(PochhammerSpec(1, 1, 0), 10)
+        pochhammer(ProductFactor(1, 1, 0), 10)
     with pytest.raises(ValueError, match="length"):
-        pochhammer(PochhammerSpec(1, 1, 1, -2), 10)
+        pochhammer(ProductFactor(1, 1, 1, 1, -2), 10)
 
 
 # -- in-place binomial kernels -----------------------------------------------
@@ -321,16 +351,14 @@ def test_divide_undoes_multiply(c, sign, e):
 
 def test_inverse_product_gives_partition_numbers():
     # 1/(q;q)_inf generates all partitions
-    spec = ProductSpec((ProductFactor(1, 1, 1, -1),))
+    spec = (ProductFactor(1, 1, 1, -1),)
     s = apply_inverse_factors(one(10), spec)
     assert s.prefix(10) == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
 
 
 def geometric_inverse(factors, order):
     """1 / prod (1 - sign*q^e) for (sign, e) pairs."""
-    spec = ProductSpec(
-        tuple(ProductFactor(sign, e, 1, -1, 1) for sign, e in factors)
-    )
+    spec = tuple(ProductFactor(sign, e, 1, -1, 1) for sign, e in factors)
     return apply_inverse_factors(one(order), spec)
 
 
@@ -341,27 +369,27 @@ def test_inverse_of_plus_sign_alternates():
 
 
 def test_inverse_times_forward_is_identity():
-    fwd = pochhammer(PochhammerSpec(1, 1, 1), 25)
-    spec = ProductSpec((ProductFactor(1, 1, 1, -1),))
+    fwd = pochhammer(ProductFactor(1, 1, 1), 25)
+    spec = (ProductFactor(1, 1, 1, -1),)
     assert apply_inverse_factors(fwd, spec) == one(25)
 
 
 def test_inverse_factor_without_unit_constant_term_is_an_error():
-    spec = ProductSpec((ProductFactor(1, 0, 2, -1),))
+    spec = (ProductFactor(1, 0, 2, -1),)
     with pytest.raises(ValueError, match="no unit constant term"):
         apply_inverse_factors(one(10), spec)
 
 
 def test_factor_power_must_be_a_unit():
-    spec = ProductSpec((ProductFactor(1, 1, 1, 2),))
+    spec = (ProductFactor(1, 1, 1, 2),)
     with pytest.raises(ValueError, match="power"):
         apply_inverse_factors(one(10), spec)
 
 
 def test_forward_factor_family_matches_pochhammer():
-    spec = ProductSpec((ProductFactor(1, 1, 2, 1),))
+    spec = (ProductFactor(1, 1, 2, 1),)
     assert apply_inverse_factors(one(20), spec) == pochhammer(
-        PochhammerSpec(1, 1, 2), 20
+        ProductFactor(1, 1, 2), 20
     )
 
 
@@ -378,10 +406,8 @@ inverse_factor_strategy = st.builds(
 @settings(max_examples=150, deadline=None)
 @given(st.lists(inverse_factor_strategy, min_size=1, max_size=3), series_strategy)
 def test_inverse_factors_cancel_against_their_direct_expansion(factors, x):
-    inverse = ProductSpec(tuple(factors))
-    forward = ProductSpec(
-        tuple(ProductFactor(f.sign, f.shift, f.step, 1, f.length) for f in factors)
-    )
+    inverse = tuple(factors)
+    forward = tuple(ProductFactor(f.sign, f.shift, f.step, 1, f.length) for f in factors)
     assert apply_inverse_factors(apply_inverse_factors(x, inverse), forward) == x
 
 
@@ -438,9 +464,9 @@ def test_running_sum_matches_term_by_term_expansion():
 
     def pochs(n):
         return (
-            PochhammerSpec(-1, -1, 2, n),
-            PochhammerSpec(-1, 3, 4, 1),
-            PochhammerSpec(-1, 0, 1, min(n, 1)),
+            ProductFactor(-1, -1, 2, 1, n),
+            ProductFactor(-1, 3, 4, 1, 1),
+            ProductFactor(-1, 0, 1, 1, min(n, 1)),
         )
 
     def inverse(n):
@@ -452,40 +478,38 @@ def test_running_sum_matches_term_by_term_expansion():
         t = monomial(1, n * n + n, deep)
         for p in pochs(n):
             t = t * pochhammer(p, deep)
-        terms.append(apply_inverse_factors(t, ProductSpec(inverse(n))))
+        terms.append(apply_inverse_factors(t, inverse(n)))
     expected = sum_terms(terms, deep)
-    got = sum_term_family(lambda n: n * n + n, pochs, inverse, order)
+    got = sum_term_family(lambda n: n * n + n, lambda n: pochs(n) + inverse(n), order)
     assert got == LaurentSeries(expected.offset, expected.coeffs, order)
 
 
 def test_running_sum_applies_scale_and_constant():
-    s = sum_term_family(lambda n: n, lambda n: (), lambda n: (), 5, start=1,
+    s = sum_term_family(lambda n: n, lambda n: (), 5, start=1,
                         constant=1, scale=2)
     assert s.prefix(5) == [1, 2, 2, 2, 2, 2]
 
 
 def test_running_sum_of_no_terms_is_the_constant():
-    s = sum_term_family(lambda n: 10 + n, lambda n: (), lambda n: (), 5, constant=3)
+    s = sum_term_family(lambda n: 10 + n, lambda n: (), 5, constant=3)
     assert s == monomial(3, 0, 5)
 
 
 def test_running_sum_rejects_decreasing_minimum_exponent():
     with pytest.raises(ValueError, match="decreased from 4 to 3"):
-        sum_term_family(lambda n: 4 - n, lambda n: (), lambda n: (), 10)
+        sum_term_family(lambda n: 4 - n, lambda n: (), 10)
 
 
 def test_running_sum_reports_stalled_families_as_divergent():
     with pytest.raises(ValueError, match="stalled at minimum exponent 1 for more than 100"):
-        sum_term_family(lambda n: 1, lambda n: (), lambda n: (), 10)
+        sum_term_family(lambda n: 1, lambda n: (), 10)
 
 
 def test_running_sum_rejects_an_inverse_factor_without_unit_constant_term():
     with pytest.raises(ValueError, match="inverse factor with exponent 0 has no unit"):
-        sum_term_family(lambda n: n, lambda n: (),
-                        lambda n: (ProductFactor(1, 0, 2, -1, n),), 10)
+        sum_term_family(lambda n: n, lambda n: (ProductFactor(1, 0, 2, -1, n),), 10)
 
 
 def test_running_sum_guards_its_laurent_offset():
     with pytest.raises(ValueError, match="Laurent guard"):
-        sum_term_family(lambda n: n, lambda n: (PochhammerSpec(-1, -200, 1, 1),),
-                        lambda n: (), 10)
+        sum_term_family(lambda n: n, lambda n: (ProductFactor(-1, -200, 1, 1, 1),), 10)
