@@ -18,7 +18,7 @@ import urllib.request
 from typing import Sequence
 
 from .bijections import get_map
-from .enumerators import count_class, count_sequence, enumerate_class
+from .enumerators import count_sequence, enumerate_class
 from .harness import (
     DEFAULT_BOUND,
     compare_with_bfile,
@@ -137,10 +137,10 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    top = args.max_n if args.n is None else args.n
+    rows = list(enumerate(count_sequence(args.class_id, top)))
     if args.n is not None:
-        rows = [(args.n, count_class(args.class_id, args.n))]
-    else:
-        rows = list(enumerate(count_sequence(args.class_id, args.max_n)))
+        rows = rows[-1:]
     if args.format == "records":
         text = "".join(
             json.dumps({"class": args.class_id, "n": n, "count": c}) + "\n"
@@ -161,18 +161,18 @@ def _cmd_count(args) -> int:
 
 def _cmd_coeff(args) -> int:
     record = get_identity(args.identity_id)
-    sides = [s for s in record.sides if s.series is not None]
+    sides = [s for s in record.sides if s.is_series]
     if args.side is not None:
         sides = [s for s in sides if s.label == args.side]
         if not sides:
-            labels = ", ".join(s.label for s in record.sides if s.series is not None)
+            labels = ", ".join(s.label for s in record.sides if s.is_series)
             raise ValueError(
                 f"identity {record.id!r} has no series side {args.side!r}; "
                 f"series sides: {labels or '(none)'}"
             )
     if not sides:
         raise ValueError(f"identity {record.id!r} has no series sides")
-    columns = [s.series(args.max_n).prefix(args.max_n) for s in sides]
+    columns = [s.values(args.max_n) for s in sides]
     labels = [s.label for s in sides]
     if args.format == "records":
         lines = []
@@ -235,7 +235,12 @@ def _cache_dir() -> str:
 
 
 def _fetch_bfile(identity_id: str) -> str:
-    number = identity_id.lstrip("aA")
+    number = identity_id[1:]
+    if identity_id[:1] != "a" or not number.isdigit():
+        raise ValueError(
+            f"--fetch needs an OEIS id such as a027349, not {identity_id!r}; "
+            "give a local b-file with --bfile PATH"
+        )
     name = f"b{number}.txt"
     path = os.path.join(_cache_dir(), name)
     if not os.path.exists(path):
@@ -265,13 +270,13 @@ def _cmd_oeis(args) -> int:
         raise ValueError("provide --bfile PATH or --fetch")
     with open(path) as fh:
         entries = parse_bfile(fh.read())
-    sides = [s for s in record.sides if s.series is not None]
+    sides = [s for s in record.sides if s.is_series]
     if not sides:
         raise ValueError(f"identity {record.id!r} has no series sides to compare")
     lines = []
     ok = True
     for side in sides:
-        values = side.series(args.max_n).prefix(args.max_n)
+        values = side.values(args.max_n)
         rep = compare_with_bfile(values, entries, args.offset)
         ok = ok and rep["match"]
         if rep["first_mismatch"]:

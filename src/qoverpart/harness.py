@@ -67,19 +67,23 @@ class SideKind(Enum):
 class Side:
     """One independently computable face of an identity.
 
-    A side has either ``values(bound)``, the integer sequence for weights
-    0..bound, or ``series(order)``, a truncated series that the verifier
-    compares whole, not just at sampled coefficients.
+    ``values(bound)`` is the integer sequence for weights 0..bound.  A series
+    side (``is_series``, by kind) is a truncated q-series read as its
+    coefficients of q^0..q^bound; the verifier evaluates it through the deep
+    series order and compares it with every other series side that far.
     ``cap`` bounds how far the side is feasible to evaluate (pair counts and
     bijection images grow quickly; b-files simply end).
     """
 
     label: str
     kind: SideKind
-    values: Callable[[int], list[int]] | None = None
-    series: Callable[[int], LaurentSeries] | None = None
+    values: Callable[[int], list[int]]
     proven: bool = True
     cap: int | None = None
+
+    @property
+    def is_series(self) -> bool:
+        return self.kind in (SideKind.SERIES_SUM, SideKind.SERIES_PRODUCT, SideKind.SCALED)
 
 
 @dataclass(frozen=True)
@@ -136,6 +140,14 @@ def _shifted_side(class_id: str, shift: int) -> Side:
                 _count_values(class_id, shift))
 
 
+def _checked_prefix(series: LaurentSeries, order: int, stage: str) -> list[int]:
+    """Coefficients of q^0..q^order; a term below q^0 would be lost, so it raises."""
+    m = series.min_exponent
+    if m is not None and m < 0:
+        raise ValueError(f"negative exponent q^{m} survived {stage}")
+    return series.prefix(order)
+
+
 def _sum_side(
     label: str,
     exponent: Callable[[int], int],
@@ -145,21 +157,18 @@ def _sum_side(
     scale: int = 1,
     kind: SideKind = SideKind.SERIES_SUM,
 ) -> Side:
-    def series(order: int) -> LaurentSeries:
+    def values(order: int) -> list[int]:
         total = sum_term_family(exponent, factors, order, start, constant, scale)
-        m = total.min_exponent
-        if m is not None and m < 0:
-            raise ValueError(f"negative exponent q^{m} survived summation")
-        return total
+        return _checked_prefix(total, order, "summation")
 
-    return Side(label, kind, series=series)
+    return Side(label, kind, values)
 
 
 def _product_side(label: str, factors: tuple[ProductFactor, ...]) -> Side:
-    def series(order: int) -> LaurentSeries:
-        return apply_inverse_factors(one(order), factors)
+    def values(order: int) -> list[int]:
+        return _checked_prefix(apply_inverse_factors(one(order), factors), order, "expansion")
 
-    return Side(label, SideKind.SERIES_PRODUCT, series=series)
+    return Side(label, SideKind.SERIES_PRODUCT, values)
 
 
 # -- b-file handling ---------------------------------------------------------
@@ -744,21 +753,15 @@ def get_identity(identity_id: str) -> IdentityRecord:
 # -- verification ------------------------------------------------------------
 
 
-def _first_difference(a: LaurentSeries, b: LaurentSeries) -> int:
-    lo = min(x.offset for x in (a, b) if not x.is_zero)
-    for n in range(lo, a.order + 1):
-        if a.coeff(n) != b.coeff(n):
-            return n
-    raise AssertionError("series compared unequal but no coefficient differs")
-
-
 def verify(identity_id: str, bound: int = DEFAULT_BOUND) -> VerificationReport:
     """Evaluate every side of one identity for weights 0..bound and compare.
 
-    Series-backed sides are computed once at order max(bound, 200) and also
-    compared pairwise as whole truncated series, so a disagreement hiding
-    beyond the enumeration bound still fails.  Side computation errors become
-    FAIL reports rather than exceptions.
+    Series sides are evaluated through order max(bound, 200) and compared
+    pairwise that far in the same single pass, so a disagreement hiding beyond
+    the enumeration bound still fails; every other pair is compared through
+    the shorter of its two bounds.  A FAIL names the lowest disagreeing weight
+    over all pairs of proven sides.  Side computation errors become FAIL
+    reports rather than exceptions.
     """
     return _verify_record(get_identity(identity_id), bound)
 
@@ -768,30 +771,23 @@ def _verify_record(record: IdentityRecord, bound: int) -> VerificationReport:
         raise ValueError(f"bound must be >= 0, got {bound}")
     start = time.perf_counter()
     deep = max(bound, SERIES_DEEP_ORDER)
+    # each side's values run through its bound, or through deep for a series side
     computed: list[tuple[Side, int, list[int]]] = []
-    deep_series: list[tuple[Side, LaurentSeries]] = []
     notes: list[str] = []
     if record.note:
         notes.append(record.note)
     error = None
-    failed_label = None
     for side in record.sides:
         side_bound = min(bound, side.cap) if side.cap is not None else bound
         try:
-            if side.series is not None:
-                s = side.series(deep)
-                deep_series.append((side, s))
-                vals = s.prefix(side_bound)
-            else:
-                vals = side.values(side_bound)
+            vals = side.values(deep if side.is_series else side_bound)
         except Exception as exc:  # verification must report, not crash
             error = f"{side.label}: {type(exc).__name__}: {exc}"
-            failed_label = side.label
             break
         computed.append((side, side_bound, vals))
         if side_bound < bound:
             notes.append(f"side {side.label} evaluated to n <= {side_bound} (cap)")
-    if deep_series:
+    if any(side.is_series for side, _, _ in computed):
         notes.append(
             f"series sides are truncations compared through q^{deep}; "
             "agreement checks the identity only to that order"
@@ -803,7 +799,7 @@ def _verify_record(record: IdentityRecord, bound: int) -> VerificationReport:
             "kind": side.kind.value,
             "proven": side.proven,
             "bound": side_bound,
-            "values": vals,
+            "values": vals[:side_bound + 1],
         }
         for side, side_bound, vals in computed
     ]
@@ -816,55 +812,32 @@ def _verify_record(record: IdentityRecord, bound: int) -> VerificationReport:
 
     hard_mismatch = None
     claim_mismatch = None
-    for i in range(len(computed)):
-        for j in range(i + 1, len(computed)):
-            si, bi, vi = computed[i]
-            sj, bj, vj = computed[j]
-            for n in range(min(bi, bj) + 1):
-                if vi[n] != vj[n]:
-                    entry = {
-                        "n": n,
-                        "left": si.label,
-                        "right": sj.label,
-                        "left_value": vi[n],
-                        "right_value": vj[n],
-                    }
-                    if si.proven and sj.proven:
-                        if hard_mismatch is None or n < hard_mismatch["n"]:
-                            hard_mismatch = entry
-                    else:
-                        if claim_mismatch is None or n < claim_mismatch["n"]:
-                            claim_mismatch = entry
-                    break
-
-    if hard_mismatch is None:
-        for i in range(len(deep_series)):
-            for j in range(i + 1, len(deep_series)):
-                si, a = deep_series[i]
-                sj, b = deep_series[j]
-                if a != b:
-                    n = _first_difference(a, b)
-                    hard_mismatch = {
-                        "n": n,
-                        "left": si.label,
-                        "right": sj.label,
-                        "left_value": a.coeff(n),
-                        "right_value": b.coeff(n),
-                    }
-                    notes.append("mismatch found by the deep series comparison")
-                    break
-            if hard_mismatch is not None:
-                break
+    for i, (si, _, vi) in enumerate(computed):
+        for sj, _, vj in computed[i + 1:]:
+            k = min(len(vi), len(vj))
+            if vi[:k] == vj[:k]:
+                continue
+            n = next(n for n in range(k) if vi[n] != vj[n])
+            entry = {
+                "n": n,
+                "left": si.label,
+                "right": sj.label,
+                "left_value": vi[n],
+                "right_value": vj[n],
+            }
+            if si.proven and sj.proven:
+                if hard_mismatch is None or n < hard_mismatch["n"]:
+                    hard_mismatch = entry
+            elif claim_mismatch is None or n < claim_mismatch["n"]:
+                claim_mismatch = entry
+                claim_label = sj.label if si.proven else si.label
 
     if hard_mismatch is not None:
         status, first = "FAIL", hard_mismatch
+        if hard_mismatch["n"] > bound:
+            notes.append("mismatch found by the deep series comparison")
     elif claim_mismatch is not None:
         status, first = "FLAGGED", claim_mismatch
-        proven_by_label = {side.label: side.proven for side in record.sides}
-        claim_label = next(
-            lab for lab in (claim_mismatch["left"], claim_mismatch["right"])
-            if not proven_by_label[lab]
-        )
         notes.append(
             f"claim side {claim_label} first disagrees at "
             f"n={claim_mismatch['n']}; proven sides agree"

@@ -103,11 +103,12 @@ def test_criterion_07_bfile_cross_check_over_the_full_range():
     for n in range(26):
         assert entries[n][1] == oracles.count_distinct_odd_least1(n + 1)
     record = get_identity("a027349")
-    series_sides = [s for s in record.sides if s.series is not None]
+    series_sides = [s for s in record.sides if s.is_series]
     assert len(series_sides) == 2
     top = entries[-1][0]
     for side in series_sides:
-        values = side.series(top).prefix(top)
+        values = side.values(top)
+        assert len(values) == top + 1
         result = compare_with_bfile(values, entries, 0)
         assert result["overlap"] == len(entries)
         assert result["match"] is True, (side.label, result["first_mismatch"])

@@ -70,6 +70,16 @@ def test_count_single_weight(capsys):
     assert run_ok(capsys, ["count", "--class", "over", "--n", "3"]) == "3 8\n"
 
 
+@pytest.mark.parametrize("fmt", ["table", "csv", "records"])
+def test_count_single_weight_is_the_last_row_of_its_range(capsys, fmt):
+    def lines(flag):
+        out = run_ok(capsys, ["count", "--class", "rr1", flag, "12", "--format", fmt])
+        return out.splitlines()
+
+    header = lines("--max-n")[:1] if fmt == "csv" else []
+    assert lines("--n") == header + lines("--max-n")[-1:]
+
+
 def test_count_range_csv(capsys):
     out = run_ok(
         capsys, ["count", "--class", "d", "--max-n", "5", "--format", "csv"]
@@ -365,6 +375,23 @@ def test_oeis_fetch_that_fails_mid_read_leaves_no_cache_file(tmp_path, capsys, m
     assert run(["oeis", "--id", "a027349", "--fetch", "--max-n", "40"]) == 2
     assert "connection dropped" in capsys.readouterr().err
     assert list(cache.iterdir()) == []
+
+
+@pytest.mark.parametrize("identity_id", ["frr", "almost-sc"])
+def test_oeis_fetch_refuses_an_id_that_is_not_an_oeis_number(
+    tmp_path, capsys, monkeypatch, identity_id
+):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv(cli.CACHE_ENV, str(cache))
+    calls = []
+    monkeypatch.setattr(cli.urllib.request, "urlopen",
+                        lambda url, timeout=None: calls.append(url))
+    assert run(["oeis", "--id", identity_id, "--fetch"]) == 2
+    err = capsys.readouterr().err
+    assert f"not {identity_id!r}" in err
+    assert "--bfile" in err
+    assert calls == []
+    assert not cache.exists()
 
 
 # -- argument handling -------------------------------------------------------------------

@@ -21,7 +21,7 @@ from qoverpart.harness import (
     verify,
     verify_all,
 )
-from qoverpart.series import LaurentSeries, ProductFactor, one
+from qoverpart.series import ProductFactor
 
 import oracles
 
@@ -155,36 +155,52 @@ def test_verify_all_clamps_the_pool_to_tasks_and_cpus(monkeypatch, cpus, pool_si
     assert sizes == pool_sizes
 
 
-def test_series_sides_carry_no_values_function():
+def test_every_side_has_values_and_only_sum_product_scaled_sides_are_series():
+    series_kinds = {SideKind.SERIES_SUM, SideKind.SERIES_PRODUCT, SideKind.SCALED}
+    series_sides = 0
     for record in builtin_identities():
         for side in record.sides:
-            assert (side.values is None) == (side.series is not None), side.label
+            assert callable(side.values), side.label
+            assert not hasattr(side, "series"), side.label
+            assert side.is_series == (side.kind in series_kinds), side.label
+            # the constructors label every sum, product and scaled side
+            assert side.is_series == (
+                side.label.split(":")[0] in ("sum", "product", "scaled")
+            ), side.label
+            series_sides += side.is_series
+    assert series_sides == 96
 
 
-SERIES_IDS = [r.id for r in builtin_identities()
-              if any(s.series is not None for s in r.sides)]
+SERIES_IDS = [r.id for r in builtin_identities() if any(s.is_series for s in r.sides)]
 
 
 @pytest.mark.parametrize("identity_id", SERIES_IDS)
 def test_series_sides_agree_at_every_truncation_order(identity_id):
     for side in get_identity(identity_id).sides:
-        if side.series is None:
+        if not side.is_series:
             continue
-        deep = side.series(260)
+        deep = side.values(260)
+        assert len(deep) == 261, side.label
         for k in range(221):
-            assert side.series(k) == LaurentSeries(deep.offset, deep.coeffs, k), (
-                side.label, k)
+            assert side.values(k) == deep[:k + 1], (side.label, k)
 
 
 def test_negative_exponent_surviving_summation_is_an_error():
     # (1 + q^-1) + q + q^2 + ... keeps its q^-1
-    series = harness._sum_side(
+    values = harness._sum_side(
         "sum",
         lambda n: n,
         lambda n: () if n else (ProductFactor(-1, -1, 1, 1, 1),),
-    ).series
+    ).values
     with pytest.raises(ValueError, match=r"negative exponent q\^-1 survived"):
-        series(10)
+        values(10)
+
+
+def test_negative_exponent_surviving_a_product_is_an_error():
+    # (1 + q^-1) as a product: its q^-1 term must not be dropped silently
+    values = harness._product_side("p", (ProductFactor(-1, -1, 1, 1, 1),)).values
+    with pytest.raises(ValueError, match=r"negative exponent q\^-1 survived"):
+        values(10)
 
 
 def test_degenerate_claim_is_flagged_not_failed():
@@ -267,25 +283,46 @@ def test_raising_side_becomes_a_fail_report():
     assert [s["label"] for s in report.sides] == ["a"]
 
 
+def series_side(label, ones_at):
+    """A series side whose coefficient is 1 at each weight in ones_at, else 0."""
+    return Side(label, SideKind.SERIES_SUM,
+                lambda order: [int(n in ones_at) for n in range(order + 1)])
+
+
 def test_deep_series_comparison_catches_late_divergence():
-    def clean(order):
-        return one(order)
-
-    def dirty(order):
-        return LaurentSeries(0, [1] + [0] * 149 + [1], order)
-
     record = IdentityRecord(
-        "rigged",
-        "",
-        (
-            Side("clean", SideKind.SERIES_SUM, lambda b: clean(b).prefix(b), clean),
-            Side("dirty", SideKind.SERIES_SUM, lambda b: dirty(b).prefix(b), dirty),
-        ),
+        "rigged", "", (series_side("clean", {0}), series_side("dirty", {0, 150}))
     )
     report = harness._verify_record(record, 5)
     assert report.status == "FAIL"
     assert report.first_mismatch["n"] == 150
     assert any("deep series comparison" in n for n in report.notes)
+    assert [s["values"] for s in report.sides] == [[1, 0, 0, 0, 0, 0]] * 2
+
+
+def test_deep_series_failure_names_the_lowest_weight_over_all_pairs():
+    # (a, b) first differ at 180 and (a, c) at 150, both beyond the bound
+    record = IdentityRecord(
+        "rigged",
+        "",
+        (series_side("a", {0}), series_side("b", {0, 180}), series_side("c", {0, 150})),
+    )
+    report = harness._verify_record(record, 5)
+    assert report.status == "FAIL"
+    assert report.first_mismatch == {
+        "n": 150, "left": "a", "right": "c", "left_value": 0, "right_value": 1,
+    }
+    assert any("deep series comparison" in n for n in report.notes)
+
+
+def test_mismatch_within_the_bound_carries_no_deep_note():
+    record = IdentityRecord(
+        "rigged", "", (series_side("a", {0}), series_side("b", {0, 3, 150}))
+    )
+    report = harness._verify_record(record, 5)
+    assert report.status == "FAIL"
+    assert report.first_mismatch["n"] == 3
+    assert not any("deep series comparison" in n for n in report.notes)
 
 
 # -- b-files -------------------------------------------------------------------------
