@@ -11,7 +11,6 @@ whole thing on the command line.
 from .bijections import get_map, registered_map_ids
 from .enumerators import (
     count_class,
-    count_stembridge_pairs,
     enumerate_class,
     matches,
     partitions_upto,
@@ -48,7 +47,6 @@ __all__ = [
     "compare_with_bfile",
     "conjugate",
     "count_class",
-    "count_stembridge_pairs",
     "enumerate_class",
     "format_overpartition",
     "format_partition",

@@ -20,7 +20,9 @@ counting base partitions by weight and number of parts, and convolves it with
 a knapsack over the admissible overline sets for each number of parts.  Its
 cost is polynomial in the weight, and it shares only the class dataclasses and
 the overline admissibility rule with the generators, so a count checked against
-an enumeration is a check of two routes.
+an enumeration is a check of two routes.  The almost-self-conjugate partitions
+and the Stembridge pairs are counted the same way, from a knapsack over the
+distinct entries of their Frobenius symbols.
 """
 
 from __future__ import annotations
@@ -422,7 +424,7 @@ def _overpartition_counts(cls: OverpartitionClass, top: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# almost-self-conjugate partitions, enumerated through their Frobenius symbols
+# Frobenius symbols: almost-self-conjugate partitions and Stembridge pairs
 # ---------------------------------------------------------------------------
 
 
@@ -434,11 +436,10 @@ def iter_almost_self_conjugate(n: int) -> Iterator[Partition]:
     yielded, which is the counting convention used by the identity harness;
     the standalone predicate still rejects the empty partition.
     """
-    if n == 0:
-        yield ()
-        return
+    if n < 0:
+        raise ValueError("weight must be nonnegative")
     if n % 2:
-        return
+        return iter(())
 
     def rec(remaining_half: int, prev: int, acc: list[int]) -> Iterator[Partition]:
         # each new entry b adds (b + 1) to the half-weight
@@ -452,89 +453,69 @@ def iter_almost_self_conjugate(n: int) -> Iterator[Partition]:
             yield from rec(remaining_half - b - 1, b, acc)
             acc.pop()
 
-    yield from rec(n // 2, n // 2 + 1, [])
+    return rec(n // 2, n // 2 + 1, [])
 
-
-# ---------------------------------------------------------------------------
-# Stembridge-style pair counts
-# ---------------------------------------------------------------------------
 
 STEMBRIDGE_VARIANTS = ("gg1", "gg2", "lg1", "lg2")
 
 
-def _self_conjugate_stats(max_w: int, min_entry: int = 0) -> list[tuple[int, int, int]]:
-    """(weight, largest part, diagonal) for self-conjugate partitions.
+def _frobenius_table(top: int, lo: int, extra: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Sets of distinct Frobenius entries e >= lo, each weighing 2e + extra.
 
-    Symbols are (a ; a); each entry a contributes 2a+1 to the weight and the
-    first entry fixes the largest part a+1.  The empty partition is included.
+    A symbol (a;a) weighs the sum of 2a+1 over its entries and (b+1;b) the
+    sum of 2b+2, so a class of symbols is a 0/1 knapsack over its entries.
+    They go in one at a time in increasing order, giving for weights <= top:
+
+    - ``rows[d][w]``: the sets of d entries with weight w;
+    - ``largest[i][w]``: the sets whose largest entry is lo + i, which is the
+      table just before that entry goes in, shifted by its weight.
     """
-    rows = [(0, 0, 0)]
-
-    def rec(w: int, prev: int, largest: int, d: int) -> None:
-        for a in range(min(prev - 1, (max_w - w - 1) // 2), min_entry - 1, -1):
-            nw = w + 2 * a + 1
-            rows.append((nw, largest, d + 1))
-            rec(nw, a, largest, d + 1)
-
-    for a1 in range((max_w - 1) // 2, min_entry - 1, -1):
-        w = 2 * a1 + 1
-        rows.append((w, a1 + 1, 1))
-        rec(w, a1, a1 + 1, 1)
-    return rows
-
-
-def _almost_self_conjugate_stats(max_w: int) -> list[tuple[int, int]]:
-    """(weight, diagonal) for almost-self-conjugate partitions, empty included."""
-    rows = [(0, 0)]
-
-    def rec(w: int, prev: int, d: int) -> None:
-        for b in range(min(prev - 1, (max_w - w - 2) // 2), -1, -1):
-            nw = w + 2 * b + 2
-            rows.append((nw, d + 1))
-            rec(nw, b, d + 1)
-
-    rec(0, max_w, 0)
-    return rows
+    rows = [[1] + [0] * top]
+    largest: list[list[int]] = []
+    for c in range(2 * lo + extra, top + 1, 2):
+        below = [sum(column) for column in zip(*rows)]
+        largest.append([0] * c + below[:top + 1 - c])
+        # a row for one more entry only once the last row holds a set
+        if any(rows[-1]):
+            rows.append([0] * (top + 1))
+        for d in range(len(rows) - 1, 0, -1):
+            fewer, row = rows[d - 1], rows[d]
+            for w in range(top, c - 1, -1):
+                row[w] += fewer[w - c]
+    return rows, largest
 
 
-def count_stembridge_pairs(n: int, variant: str) -> int:
-    """Pairs (sigma, tau) of total weight n.
+def _pair_counts(variant: str, bound: int) -> list[int]:
+    """Pairs (sigma, tau) of total weight n, for every n <= bound.
 
-    sigma is self-conjugate.  For gg1/gg2, tau is self-conjugate (gg2 further
+    sigma is self-conjugate; its largest part is its largest entry plus one,
+    or 0 when it is empty.  For gg1/gg2, tau is self-conjugate (gg2 further
     requires no zero entry in tau's Frobenius symbol); for lg1/lg2, tau is
     almost-self-conjugate, with the empty tau admitted vacuously.  The largest
-    part of sigma is bounded by tau's diagonal, plus one for lg1.
+    part of sigma is at most tau's diagonal d, its number of entries, plus
+    one for lg1.
     """
-    if variant not in STEMBRIDGE_VARIANTS:
-        raise ValueError(
-            f"unknown variant {variant!r}; expected one of {', '.join(STEMBRIDGE_VARIANTS)}"
-        )
-    if n < 0:
-        raise ValueError("weight must be nonnegative")
-    sigma_by_weight: dict[int, dict[int, int]] = {}
-    for w, largest, _ in _self_conjugate_stats(n):
-        sigma_by_weight.setdefault(w, {}).setdefault(largest, 0)
-        sigma_by_weight[w][largest] += 1
+    _, sigma = _frobenius_table(bound, 0, 1)
     if variant in ("gg1", "gg2"):
-        tau_rows = [
-            (w, d)
-            for w, _, d in _self_conjugate_stats(n, min_entry=1 if variant == "gg2" else 0)
-        ]
+        tau, _ = _frobenius_table(bound, 1 if variant == "gg2" else 0, 1)
     else:
-        tau_rows = _almost_self_conjugate_stats(n)
-    tau_by_weight: dict[int, dict[int, int]] = {}
-    for w, d in tau_rows:
-        tau_by_weight.setdefault(w, {}).setdefault(d, 0)
-        tau_by_weight[w][d] += 1
+        tau, _ = _frobenius_table(bound, 0, 2)
+    # at_least[k][w]: the tau of weight w with diagonal k or more
+    at_least = [tau[-1]]
+    for row in reversed(tau[:-1]):
+        at_least.append([x + y for x, y in zip(row, at_least[-1])])
+    at_least.reverse()
     bonus = 1 if variant == "lg1" else 0
-    total = 0
-    for w, by_largest in sigma_by_weight.items():
-        tc = tau_by_weight.get(n - w)
-        if not tc:
-            continue
-        for largest, count in by_largest.items():
-            total += count * sum(c for d, c in tc.items() if largest <= d + bonus)
-    return total
+    pairs = [0] * (bound + 1)
+    for largest, by_weight in enumerate([[1] + [0] * bound] + sigma):
+        k = max(largest - bonus, 0)
+        if k >= len(at_least):
+            break
+        for w, s in enumerate(by_weight):
+            if s:
+                for m, t in enumerate(at_least[k][:bound + 1 - w]):
+                    pairs[w + m] += s * t
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -698,8 +679,10 @@ def count_sequence(class_id: str, bound: int) -> list[int]:
     Partition and overpartition classes are counted from weight tables
     (``_base_table``, ``_overpartition_counts``) that never call the
     generators, so comparing a count with an enumeration compares two routes.
-    ``almost-sc`` walks its Frobenius generator and the pair classes use
-    ``count_stembridge_pairs``.
+    ``almost-sc`` and the pair classes are counted from knapsack tables over
+    Frobenius entries (``_frobenius_table``), which read only the weight
+    rules of the symbols and share no code with ``_base_table`` or with
+    ``iter_almost_self_conjugate``.
     """
     kind = class_kind(class_id)
     if bound < 0:
@@ -709,9 +692,9 @@ def count_sequence(class_id: str, bound: int) -> list[int]:
     if kind == "overpartition":
         return _overpartition_counts(OVERPARTITION_CLASSES[class_id], bound)
     if class_id == "almost-sc":
-        return [sum(1 for _ in iter_almost_self_conjugate(n)) for n in range(bound + 1)]
-    variant = class_id.split(":", 1)[1]
-    return [count_stembridge_pairs(n, variant) for n in range(bound + 1)]
+        rows, _ = _frobenius_table(bound, 0, 2)
+        return [sum(column) for column in zip(*rows)]
+    return _pair_counts(class_id.split(":", 1)[1], bound)
 
 
 def count_class(class_id: str, n: int) -> int:

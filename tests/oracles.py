@@ -128,3 +128,77 @@ def product_prefix(factor_gen, limit):
 def neg_q_q_prefix(limit):
     """Coefficients of (-q;q)_infinity, the distinct-parts product."""
     return product_prefix(((1, e) for e in range(1, limit + 1)), limit)
+
+
+# -- Frobenius-symbol walks ---------------------------------------------------
+# The reference walk for the Stembridge pair counts: list every symbol with
+# its statistics, then assemble the pairs of one weight n from scratch.
+
+
+def self_conjugate_stats(max_w, min_entry=0):
+    """(weight, largest part, diagonal) for self-conjugate partitions.
+
+    Symbols are (a ; a); each entry a contributes 2a+1 to the weight and the
+    first entry fixes the largest part a+1.  The empty partition is included.
+    """
+    rows = [(0, 0, 0)]
+
+    def rec(w, prev, largest, d):
+        for a in range(min(prev - 1, (max_w - w - 1) // 2), min_entry - 1, -1):
+            nw = w + 2 * a + 1
+            rows.append((nw, largest, d + 1))
+            rec(nw, a, largest, d + 1)
+
+    for a1 in range((max_w - 1) // 2, min_entry - 1, -1):
+        w = 2 * a1 + 1
+        rows.append((w, a1 + 1, 1))
+        rec(w, a1, a1 + 1, 1)
+    return rows
+
+
+def almost_self_conjugate_stats(max_w):
+    """(weight, diagonal) for almost-self-conjugate partitions, empty included."""
+    rows = [(0, 0)]
+
+    def rec(w, prev, d):
+        for b in range(min(prev - 1, (max_w - w - 2) // 2), -1, -1):
+            nw = w + 2 * b + 2
+            rows.append((nw, d + 1))
+            rec(nw, b, d + 1)
+
+    rec(0, max_w, 0)
+    return rows
+
+
+def stembridge_pairs_by_stats(n, variant):
+    """Pairs (sigma, tau) of total weight n, from the two stats walks.
+
+    sigma is self-conjugate.  For gg1/gg2, tau is self-conjugate (gg2 further
+    requires no zero entry in tau's Frobenius symbol); for lg1/lg2, tau is
+    almost-self-conjugate, with the empty tau admitted vacuously.  The largest
+    part of sigma is bounded by tau's diagonal, plus one for lg1.
+    """
+    sigma_by_weight = {}
+    for w, largest, _ in self_conjugate_stats(n):
+        by_largest = sigma_by_weight.setdefault(w, {})
+        by_largest[largest] = by_largest.get(largest, 0) + 1
+    if variant in ("gg1", "gg2"):
+        tau_rows = [
+            (w, d)
+            for w, _, d in self_conjugate_stats(n, min_entry=1 if variant == "gg2" else 0)
+        ]
+    else:
+        tau_rows = almost_self_conjugate_stats(n)
+    tau_by_weight = {}
+    for w, d in tau_rows:
+        by_diagonal = tau_by_weight.setdefault(w, {})
+        by_diagonal[d] = by_diagonal.get(d, 0) + 1
+    bonus = 1 if variant == "lg1" else 0
+    total = 0
+    for w, by_largest in sigma_by_weight.items():
+        tc = tau_by_weight.get(n - w)
+        if not tc:
+            continue
+        for largest, count in by_largest.items():
+            total += count * sum(c for d, c in tc.items() if largest <= d + bonus)
+    return total

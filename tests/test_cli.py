@@ -269,12 +269,13 @@ def test_verify_passes_at_a_former_truncation_edge(capsys, identity_id):
     assert json.loads(out)["status"] == "PASS"
 
 
-def test_verify_almost_sc_at_200_stops_its_walk_at_the_cap(capsys):
+def test_verify_almost_sc_at_200_evaluates_both_sides_to_the_bound(capsys):
     out = run_ok(capsys, ["verify", "--id", "almost-sc", "--max-n", "200",
                           "--format", "records", "--no-elapsed"])
     report = json.loads(out)
     assert report["status"] == "PASS"
-    assert "side count:almost-sc evaluated to n <= 100 (cap)" in report["notes"]
+    assert not any("(cap)" in note for note in report["notes"])
+    assert [len(side["values"]) for side in report["sides"]] == [201, 201]
 
 
 def test_verify_unknown_identity_exits_2(capsys):

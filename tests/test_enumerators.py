@@ -9,7 +9,6 @@ from qoverpart.enumerators import (
     class_kind,
     count_class,
     count_sequence,
-    count_stembridge_pairs,
     enumerate_class,
     iter_overpartitions,
     iter_partitions,
@@ -78,6 +77,13 @@ def test_counting_rejects_negative_weight(class_id):
         count_sequence(class_id, -1)
     with pytest.raises(ValueError, match="weight must be nonnegative"):
         count_class(class_id, -1)
+
+
+@pytest.mark.parametrize("class_id", ["d", "over", "almost-sc"])
+@pytest.mark.parametrize("n", [-1, -2])
+def test_enumeration_rejects_negative_weight(class_id, n):
+    with pytest.raises(ValueError, match="weight must be nonnegative"):
+        enumerate_class(class_id, n)
 
 
 def test_pair_classes_are_count_only():
@@ -401,6 +407,7 @@ def frobenius_rows(p):
 def test_almost_self_conjugate_enumeration_matches_frobenius_filter():
     # weight 0 admits the empty partition by convention
     assert enumerate_class("almost-sc", 0) == [()]
+    counts = count_sequence("almost-sc", 20)
     for n in range(1, 21):
         members = enumerate_class("almost-sc", n)
         expected = []
@@ -409,12 +416,16 @@ def test_almost_self_conjugate_enumeration_matches_frobenius_filter():
             if top and all(a == b + 1 for a, b in zip(top, bottom)):
                 expected.append(p)
         assert sorted(members) == sorted(expected)
-        assert count_class("almost-sc", n) == len(members)
+        assert counts[n] == len(members)
+
+
+def test_almost_self_conjugate_counts_match_enumeration_to_40():
+    counts = count_sequence("almost-sc", 40)
+    assert counts == [len(enumerate_class("almost-sc", n)) for n in range(41)]
 
 
 def test_almost_self_conjugate_matches_distinct_even_counts():
-    for n in range(21):
-        assert count_class("almost-sc", n) == count_class("distinct-even", n)
+    assert count_sequence("almost-sc", 200) == count_sequence("distinct-even", 200)
 
 
 # -- symbol pairs ---------------------------------------------------------------
@@ -461,18 +472,24 @@ def brute_pair_count(n, variant):
     ],
 )
 def test_pair_counts_match_brute_force(variant, frozen):
-    computed = [count_stembridge_pairs(n, variant) for n in range(PAIR_LIMIT + 1)]
+    computed = count_sequence(f"stembridge:{variant}", PAIR_LIMIT)
     brute = [brute_pair_count(n, variant) for n in range(PAIR_LIMIT + 1)]
     assert computed == brute
     assert computed[: len(frozen)] == frozen
 
 
+@pytest.mark.parametrize("variant", ["gg1", "gg2", "lg1", "lg2"])
+def test_pair_tables_match_the_stats_walk_to_60(variant):
+    walked = [oracles.stembridge_pairs_by_stats(n, variant) for n in range(61)]
+    assert count_sequence(f"stembridge:{variant}", 60) == walked
+
+
 def test_pair_count_of_seven():
-    assert count_stembridge_pairs(7, "gg1") == 3
+    assert count_class("stembridge:gg1", 7) == 3
 
 
 def test_pair_count_validation():
-    with pytest.raises(ValueError, match="unknown variant"):
-        count_stembridge_pairs(5, "xx")
+    with pytest.raises(ValueError, match="unknown class"):
+        count_class("stembridge:xx", 5)
     with pytest.raises(ValueError, match="nonnegative"):
-        count_stembridge_pairs(-1, "gg1")
+        count_class("stembridge:gg1", -1)

@@ -4,7 +4,7 @@ import pytest
 
 from qoverpart import harness
 from qoverpart.bijections import get_map
-from qoverpart.enumerators import matches
+from qoverpart.enumerators import count_sequence, matches
 from qoverpart.harness import (
     IdentityRecord,
     Side,
@@ -226,6 +226,17 @@ def test_pair_count_cap_is_reported():
     pair_side = report.sides[0]
     assert pair_side["bound"] == 30
     assert len(pair_side["values"]) == 31
+
+
+@pytest.mark.parametrize("variant", ["gg1", "gg2", "lg1", "lg2"])
+def test_pair_counts_match_every_sum_side_to_200(variant):
+    # verify caps the pair sides at 30, so this is their only check past it
+    pairs = count_sequence(f"stembridge:{variant}", 200)
+    sums = [side for side in get_identity(f"stembridge:{variant}").sides
+            if side.kind is SideKind.SERIES_SUM]
+    assert sums
+    for side in sums:
+        assert side.values(200) == pairs, side.label
 
 
 def test_truncation_note_present_whenever_series_sides_exist():
