@@ -1,28 +1,28 @@
 """Constraint-driven enumeration and counting of partition and overpartition classes.
 
-Classes are declarative: a PartitionClass restricts parts (parity, gaps,
-residues, forced or forbidden members), an OverpartitionClass adds rules for
-which magnitudes may carry an overline, with caps that may depend on the
-number of non-overlined parts.
+Classes are declarative: a PartitionClass restricts parts (parity, least part,
+gap, residues, smallest part, no consecutive evens or odds under a gap >= 2),
+an OverpartitionClass adds rules for which magnitudes may carry an overline,
+with caps that may depend on the number of non-overlined parts.
 
 Enumeration is one prefix walk per class, bounded by total weight: parts are
 added one at a time, largest first, only while they fit under the bound, and
-every prefix that passes the closing checks (a required part, the allowed
-smallest parts, an odd smallest part for the alternating parity pattern) is
-itself a member of its own weight.  So one pass with an explicit stack yields
-``(weight, member)`` for every weight up to the bound.  A single weight is the
-same walk bounded at that weight, building only the members that reach it,
-and an overpartition class walks its base once and attaches the overline
-sets.
+every prefix that passes the closing checks (the allowed smallest parts, an
+odd smallest part for the alternating parity pattern) is itself a member of
+its own weight.  So one pass with an explicit stack yields ``(weight,
+member)`` for every weight up to the bound.  A single weight is the same walk
+bounded at that weight, building only the members that reach it, and an
+overpartition class walks its base once and attaches the overline sets.
 
 Counting does not walk: ``count_sequence`` fills one weight table per class,
-counting base partitions by weight and number of parts, and convolves it with
-a knapsack over the admissible overline sets for each number of parts.  Its
-cost is polynomial in the weight, and it shares only the class dataclasses and
-the overline admissibility rule with the generators, so a count checked against
-an enumeration is a check of two routes.  The almost-self-conjugate partitions
-and the Stembridge pairs are counted the same way, from a knapsack over the
-distinct entries of their Frobenius symbols.
+counting base partitions by weight and number of parts from the state
+``(bound, phase)`` alone, and convolves it with a knapsack over the admissible
+overline sets for each number of parts.  Its cost is polynomial in the weight,
+and it shares only the class dataclasses and the overline admissibility rule
+with the generators, so a count checked against an enumeration is a check of
+two routes.  The almost-self-conjugate partitions and the Stembridge pairs are
+counted the same way, from a knapsack over the distinct entries of their
+Frobenius symbols.
 """
 
 from __future__ import annotations
@@ -46,15 +46,23 @@ class Parity(Enum):
 
 @dataclass(frozen=True)
 class PartitionClass:
-    distinct: bool = False
+    """Parts >= min_part whose neighbours differ by >= min_gap (1: distinct)."""
+
     parity: Parity = Parity.ANY
     min_part: int = 1
     min_gap: int = 0
     forbid_consecutive_evens: bool = False
     forbid_consecutive_odds: bool = False
     smallest_part_in: frozenset[int] | None = None
-    must_contain: frozenset[int] = frozenset()
     residue_filter: tuple[int, frozenset[int]] | None = None
+
+    def __post_init__(self) -> None:
+        if self.min_part < 1:
+            raise ValueError(f"min_part must be at least 1, got {self.min_part}")
+        if self.min_gap < 0:
+            raise ValueError(f"min_gap must be nonnegative, got {self.min_gap}")
+        if (self.forbid_consecutive_evens or self.forbid_consecutive_odds) and self.min_gap < 2:
+            raise ValueError(f"a forbidden consecutive pair needs min_gap >= 2, got {self.min_gap}")
 
 
 @dataclass(frozen=True)
@@ -87,11 +95,10 @@ class OverpartitionClass:
 
 def matches_partition(cls: PartitionClass, parts: Partition) -> bool:
     """Re-check a canonical decreasing partition against the class, from scratch."""
-    gap = max(cls.min_gap, 1 if cls.distinct else 0)
     for i, p in enumerate(parts):
         if p < cls.min_part:
             return False
-        if i and parts[i - 1] - p < gap:
+        if i and parts[i - 1] - p < cls.min_gap:
             return False
         if cls.parity is Parity.ALL_ODD and p % 2 == 0:
             return False
@@ -117,8 +124,6 @@ def matches_partition(cls: PartitionClass, parts: Partition) -> bool:
     if cls.forbid_consecutive_odds:
         if any(p % 2 == 1 and p + 2 in part_set for p in part_set):
             return False
-    if not set(cls.must_contain) <= part_set:
-        return False
     if cls.smallest_part_in is not None:
         if not parts or parts[-1] not in cls.smallest_part_in:
             return False
@@ -188,8 +193,6 @@ def _part_ok(cls: PartitionClass, p: int, chosen: list[int]) -> bool:
 
 
 def _close_ok(cls: PartitionClass, chosen: list[int]) -> bool:
-    if cls.must_contain and not set(cls.must_contain) <= set(chosen):
-        return False
     if cls.smallest_part_in is not None:
         if not chosen or chosen[-1] not in cls.smallest_part_in:
             return False
@@ -201,9 +204,9 @@ def _close_ok(cls: PartitionClass, chosen: list[int]) -> bool:
 def _next_bound(cls: PartitionClass, p: int, position: int) -> int:
     if cls.parity is Parity.SLATER121_PATTERN:
         # position is the 1-based index of p; descent is strict after odd
-        # positions and weak after even ones
-        return p - 1 if position % 2 == 1 else p
-    return p - max(cls.min_gap, 1 if cls.distinct else 0)
+        # positions and weak after even ones, and never less than the gap
+        return p - max(cls.min_gap, position % 2)
+    return p - cls.min_gap
 
 
 def _descend(cls: PartitionClass, bound: int, low: int = 0) -> Iterator[tuple[int, Partition]]:
@@ -296,44 +299,25 @@ def _add_rows(a: list[int], b: list[int]) -> list[int]:
 def _base_table(cls: PartitionClass, top: int) -> list[list[int]]:
     """B[m][r]: members of weight m with r parts, for every m <= top.
 
-    Parts are placed largest first.  ``tables[rem][bound, near, phase, seen]``
-    counts, by number of parts, the ways to place the weight ``rem`` still
-    missing with parts <= bound, given what was placed so far:
+    Parts are placed largest first.  ``tables[rem][bound, phase]`` counts, by
+    number of parts, the ways to place the weight ``rem`` still missing with
+    parts <= bound, given what was placed so far.  ``phase`` is, for
+    SLATER121_PATTERN, the parity of the number of parts placed (a part at an
+    odd position is followed by a strictly smaller one).  For
+    ALTERNATING_FROM_ODD_SMALLEST it is the parity the next part must have:
+    counted from the smallest part, the j-th part is j mod 2 exactly when
+    neighbours alternate in parity and the smallest is odd.
 
-    - ``near`` bit i says bound + i is already a part.  Only the forbidden
-      consecutive-even/odd rules read it (is p + 2 a part?), so it stays 0
-      for other classes.
-    - ``phase`` is, for SLATER121_PATTERN, the parity of the number of parts
-      placed (a part at an odd position is followed by a strictly smaller
-      one).  For ALTERNATING_FROM_ODD_SMALLEST it is the parity the next part
-      must have: counted from the smallest part, the j-th part is j mod 2
-      exactly when neighbours alternate in parity and the smallest is odd.
-    - ``seen`` has one bit per must_contain part already placed.
+    A forbidden consecutive pair needs a gap of 2 or more, so p + 2 can only
+    be a part as the one just above p: after a part of the forbidden parity
+    the next one drops by at least 3.
 
     An entry either skips ``bound`` (bound - 1 is the new limit) or places it,
     so each one costs two lookups into entries of smaller (rem, bound).
     """
-    gap = max(cls.min_gap, 1 if cls.distinct else 0)
     slater = cls.parity is Parity.SLATER121_PATTERN
     alternating = cls.parity is Parity.ALTERNATING_FROM_ODD_SMALLEST
-    near_bits = 0b111 if cls.forbid_consecutive_evens or cls.forbid_consecutive_odds else 0
-    must_bit = {p: 1 << i for i, p in enumerate(sorted(cls.must_contain))}
-    full = (1 << len(must_bit)) - 1
-    lowest = max(cls.min_part, 1)
     phases = (0, 1, _ANY_PARITY) if alternating else (0, 1) if slater else (0,)
-    # the near values that lowering the bound and placing parts can reach
-    # (with a gap of 2 or more only 0 and 0b100)
-    steps = {gap, max(gap, 1)} if slater else {gap}
-    nears = {0}
-    pending = [0]
-    while pending:
-        near = pending.pop()
-        for after in [(near << 1) & near_bits] + [((near | 1) << s) & near_bits for s in steps]:
-            if after not in nears:
-                nears.add(after)
-                pending.append(after)
-    states = [(near, phase, seen) for near in sorted(nears)
-              for phase in phases for seen in range(full + 1)]
 
     def fits(p: int, smallest: bool) -> bool:
         """The rules on a part that do not depend on the parts above it."""
@@ -353,45 +337,44 @@ def _base_table(cls: PartitionClass, top: int) -> list[list[int]]:
 
     def advance(p: int, phase: int) -> tuple[int, int]:
         """The least drop to the next part, and the next phase, once p is placed."""
+        step = cls.min_gap
         if slater:
-            return (max(gap, 1) if phase == 0 else gap), phase ^ 1
-        if alternating:
-            return gap, (p % 2) ^ 1
-        return gap, phase
+            step, phase = (max(step, 1) if phase == 0 else step), phase ^ 1
+        elif alternating:
+            phase = (p % 2) ^ 1
+        if (cls.forbid_consecutive_evens, cls.forbid_consecutive_odds)[p % 2]:
+            step = max(step, 3)
+        return step, phase
 
-    tables: list[dict[tuple[int, int, int, int], list[int]]] = [{} for _ in range(top + 1)]
+    tables: list[dict[tuple[int, int], list[int]]] = [{} for _ in range(top + 1)]
 
-    def lookup(rem: int, bound: int, near: int, phase: int, seen: int) -> list[int]:
+    def lookup(rem: int, bound: int, phase: int) -> list[int]:
         if rem == 0:
-            return [1] if seen == full else []
+            return [1]
         if bound > rem:
-            near = (near << (bound - rem)) & near_bits
             bound = rem
-        if bound < lowest:
+        if bound < cls.min_part:
             return []
-        return tables[rem][bound, near, phase, seen]
+        return tables[rem][bound, phase]
 
     for rem in range(1, top + 1):
         table = tables[rem]
-        for p in range(lowest, rem + 1):
+        for p in range(cls.min_part, rem + 1):
             placeable = fits(p, smallest=p == rem)
-            pair_rule = (cls.forbid_consecutive_evens and p % 2 == 0
-                         or cls.forbid_consecutive_odds and p % 2 == 1)
             phase_ok = (p % 2, _ANY_PARITY) if alternating else phases
-            for near, phase, seen in states:
+            for phase in phases:
                 # p left out: the limit drops to p - 1
-                row = lookup(rem, p - 1, (near << 1) & near_bits, phase, seen)
-                if placeable and not (pair_rule and near & 0b100) and phase in phase_ok:
+                row = lookup(rem, p - 1, phase)
+                if placeable and phase in phase_ok:
                     step, next_phase = advance(p, phase)
-                    rest = lookup(rem - p, p - step, ((near | 1) << step) & near_bits,
-                                  next_phase, seen | must_bit.get(p, 0))
+                    rest = lookup(rem - p, p - step, next_phase)
                     if rest:
                         row = _add_rows(row, [0] + rest)
-                table[p, near, phase, seen] = row
+                table[p, phase] = row
 
     start = _ANY_PARITY if alternating else 0
-    empty = [1] if not cls.must_contain and cls.smallest_part_in is None else []
-    return [empty] + [lookup(m, m, 0, start, 0) for m in range(1, top + 1)]
+    empty = [1] if cls.smallest_part_in is None else []
+    return [empty] + [lookup(m, m, start) for m in range(1, top + 1)]
 
 
 def _overpartition_counts(cls: OverpartitionClass, top: int) -> list[int]:
@@ -526,7 +509,7 @@ def _pair_counts(variant: str, bound: int) -> list[int]:
 def _lebesgue_class(alpha: int, beta: int) -> OverpartitionClass:
     k = 4 * alpha + beta
     return OverpartitionClass(
-        base=PartitionClass(distinct=True, parity=Parity.ALL_EVEN),
+        base=PartitionClass(min_gap=1, parity=Parity.ALL_EVEN),
         rules=(
             OverlineRule(low=max(k, 1), residue=(2, frozenset({k % 2})), cap=(2, k - 2)),
             OverlineRule(low=1, high=k - 1, residue=(4, frozenset({(beta + 2) % 4}))),
@@ -538,7 +521,7 @@ _ODD = Parity.ALL_ODD
 _EVEN = Parity.ALL_EVEN
 
 PARTITION_CLASSES: dict[str, PartitionClass] = {
-    "d": PartitionClass(distinct=True),
+    "d": PartitionClass(min_gap=1),
     "odd": PartitionClass(parity=_ODD),
     "rr1": PartitionClass(min_gap=2),
     "rr2": PartitionClass(min_gap=2, min_part=2),
@@ -555,47 +538,47 @@ PARTITION_CLASSES: dict[str, PartitionClass] = {
     "mod8-345": PartitionClass(residue_filter=(8, frozenset({3, 4, 5}))),
     "mod8-156": PartitionClass(residue_filter=(8, frozenset({1, 5, 6}))),
     "mod8-237": PartitionClass(residue_filter=(8, frozenset({2, 3, 7}))),
-    "distinct-mod4-012": PartitionClass(distinct=True, residue_filter=(4, frozenset({0, 1, 2}))),
-    "distinct-mod4-023": PartitionClass(distinct=True, residue_filter=(4, frozenset({0, 2, 3}))),
-    "distinct-even": PartitionClass(distinct=True, parity=_EVEN),
-    "distinct-odd-least1": PartitionClass(distinct=True, parity=_ODD, must_contain=frozenset({1})),
+    "distinct-mod4-012": PartitionClass(min_gap=1, residue_filter=(4, frozenset({0, 1, 2}))),
+    "distinct-mod4-023": PartitionClass(min_gap=1, residue_filter=(4, frozenset({0, 2, 3}))),
+    "distinct-even": PartitionClass(min_gap=1, parity=_EVEN),
+    "distinct-odd-least1": PartitionClass(min_gap=1, parity=_ODD, smallest_part_in=frozenset({1})),
 }
 for _k in range(1, 6):
-    PARTITION_CLASSES[f"dk:k={_k}"] = PartitionClass(distinct=True, min_part=_k)
+    PARTITION_CLASSES[f"dk:k={_k}"] = PartitionClass(min_gap=1, min_part=_k)
 
 OVERPARTITION_CLASSES: dict[str, OverpartitionClass] = {
     "over": OverpartitionClass(PartitionClass(), (OverlineRule(),)),
     "e-over": OverpartitionClass(
-        PartitionClass(distinct=True, parity=Parity.ALTERNATING_FROM_ODD_SMALLEST),
+        PartitionClass(min_gap=1, parity=Parity.ALTERNATING_FROM_ODD_SMALLEST),
         (OverlineRule(cap=(1, 0)),),
     ),
     "rr1-over": OverpartitionClass(
-        PartitionClass(distinct=True, parity=_ODD), (OverlineRule(cap=(1, 0)),)
+        PartitionClass(min_gap=1, parity=_ODD), (OverlineRule(cap=(1, 0)),)
     ),
     "rr1star-over": OverpartitionClass(
-        PartitionClass(distinct=True, parity=_EVEN), (OverlineRule(cap=(1, 1)),)
+        PartitionClass(min_gap=1, parity=_EVEN), (OverlineRule(cap=(1, 1)),)
     ),
     "rr2-over": OverpartitionClass(
-        PartitionClass(distinct=True, parity=_EVEN), (OverlineRule(cap=(1, 0)),)
+        PartitionClass(min_gap=1, parity=_EVEN), (OverlineRule(cap=(1, 0)),)
     ),
     "gg1-over": OverpartitionClass(
-        PartitionClass(distinct=True, parity=_ODD),
+        PartitionClass(min_gap=1, parity=_ODD),
         (OverlineRule(residue=(2, frozenset({1})), cap=(2, -1)),),
     ),
     "gg2-over": OverpartitionClass(
-        PartitionClass(distinct=True, parity=_ODD, min_part=3),
+        PartitionClass(min_gap=1, parity=_ODD, min_part=3),
         (OverlineRule(residue=(2, frozenset({1})), cap=(2, -1)),),
     ),
     "dgg12-over": OverpartitionClass(
-        PartitionClass(distinct=True, parity=_ODD, must_contain=frozenset({1})),
+        PartitionClass(min_gap=1, parity=_ODD, smallest_part_in=frozenset({1})),
         (OverlineRule(residue=(2, frozenset({1})), cap=(2, -1)),),
     ),
     "lg1-over": OverpartitionClass(
-        PartitionClass(distinct=True, parity=_EVEN),
+        PartitionClass(min_gap=1, parity=_EVEN),
         (OverlineRule(residue=(2, frozenset({1})), cap=(2, 1)),),
     ),
     "lg2-over": OverpartitionClass(
-        PartitionClass(distinct=True, parity=_EVEN),
+        PartitionClass(min_gap=1, parity=_EVEN),
         (OverlineRule(residue=(2, frozenset({1})), cap=(2, 0)),),
     ),
     "slater121-over": OverpartitionClass(
@@ -605,7 +588,7 @@ OVERPARTITION_CLASSES: dict[str, OverpartitionClass] = {
 }
 for _k in range(1, 6):
     OVERPARTITION_CLASSES[f"dk-over:k={_k}"] = OverpartitionClass(
-        PartitionClass(distinct=True, min_part=_k),
+        PartitionClass(min_gap=1, min_part=_k),
         (OverlineRule(high=_k - 1),),
     )
 

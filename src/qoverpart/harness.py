@@ -534,10 +534,7 @@ def _hgl_record(name: str) -> IdentityRecord:
 
 
 def _hgll_record(name: str) -> IdentityRecord:
-    base = {"hgll3": "hgl3", "hgll4": "hgl4"}[name]
-    shift = {"hgll3": 0, "hgll4": 2}[name]
-    aux = {"hgll3": 2, "hgll4": 4}[name]
-    aux_step = {"hgll3": 4, "hgll4": 4}[name]
+    base, shift, aux = {"hgll3": ("hgl3", 0, 2), "hgll4": ("hgl4", 2, 4)}[name]
     label, expo, family = _HGL_SUMS[base]
     plabel, factors = _HGL_PRODUCTS[base]
     sides = [_sum_side("sum:quad", expo, family)]
@@ -547,7 +544,7 @@ def _hgll_record(name: str) -> IdentityRecord:
                 f"sum:lin:alpha={alpha}",
                 lambda n: n * (n + 1),
                 lambda n, a=alpha: (
-                    F(-1, 4 * a + shift, 2, 1, n), F(-1, aux, aux_step, 1, a), F(1, 2, 2, -1, n)
+                    F(-1, 4 * a + shift, 2, 1, n), F(-1, aux, 4, 1, a), F(1, 2, 2, -1, n)
                 ),
             )
         )

@@ -1,4 +1,8 @@
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qoverpart.enumerators import (
     OVERPARTITION_CLASSES,
@@ -6,6 +10,8 @@ from qoverpart.enumerators import (
     OverlineRule,
     OverpartitionClass,
     PartitionClass,
+    Parity,
+    _base_table,
     class_kind,
     count_class,
     count_sequence,
@@ -200,6 +206,73 @@ def test_prefix_walk_yields_each_member_once_at_its_weight(label):
     for n in range(PREFIX_WALK_LIMIT + 1):
         expected = sorted(p for p in pool[n] if matches_partition(cls, p))
         assert sorted(parts for w, parts in walked if w == n) == expected, (label, n)
+
+
+@pytest.mark.parametrize("label", sorted(WALKED_CLASSES))
+def test_base_table_rows_match_the_walk_by_number_of_parts(label):
+    # the overpartition convolution reads B[m][r] row by row, so the split by
+    # number of parts is checked, not only the row sums
+    cls = WALKED_CLASSES[label]
+    table = _base_table(cls, WALK_LIMIT)
+    assert len(table) == WALK_LIMIT + 1
+    cells = {(m, r): c for m, row in enumerate(table) for r, c in enumerate(row) if c}
+    walked = Counter((w, len(parts)) for w, parts in iter_partitions_upto(WALK_LIMIT, cls))
+    assert cells == dict(walked)
+
+
+RANDOM_CLASS_LIMIT = 14
+
+
+@st.composite
+def partition_classes(draw):
+    gap = draw(st.integers(0, 3))
+    evens = odds = False
+    if gap >= 2:
+        evens = draw(st.booleans())
+        odds = draw(st.booleans())
+    smallest = draw(st.none() | st.frozensets(st.integers(1, 8), max_size=3))
+    residue = draw(st.none() | st.tuples(
+        st.integers(2, 5), st.frozensets(st.integers(0, 4), min_size=1, max_size=3)
+    ))
+    return PartitionClass(
+        parity=draw(st.sampled_from(list(Parity))),
+        min_part=draw(st.integers(1, 4)),
+        min_gap=gap,
+        forbid_consecutive_evens=evens,
+        forbid_consecutive_odds=odds,
+        smallest_part_in=smallest,
+        residue_filter=residue,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(partition_classes())
+def test_table_walk_and_predicate_agree_on_random_classes(cls):
+    pool = partitions_up_to(RANDOM_CLASS_LIMIT)
+    filtered = [
+        sum(1 for p in pool[n] if matches_partition(cls, p))
+        for n in range(RANDOM_CLASS_LIMIT + 1)
+    ]
+    walked = [0] * (RANDOM_CLASS_LIMIT + 1)
+    for w, _ in iter_partitions_upto(RANDOM_CLASS_LIMIT, cls):
+        walked[w] += 1
+    table = [sum(row) for row in _base_table(cls, RANDOM_CLASS_LIMIT)]
+    assert table == walked == filtered
+
+
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        ({"min_part": 0}, "min_part must be at least 1"),
+        ({"min_gap": -1}, "min_gap must be nonnegative"),
+        ({"forbid_consecutive_evens": True}, "needs min_gap >= 2"),
+        ({"forbid_consecutive_evens": True, "min_gap": 1}, "needs min_gap >= 2"),
+        ({"forbid_consecutive_odds": True, "min_gap": 1}, "needs min_gap >= 2"),
+    ],
+)
+def test_partition_class_refuses_bad_fields(fields, message):
+    with pytest.raises(ValueError, match=message):
+        PartitionClass(**fields)
 
 
 def test_prefix_walk_rejects_a_negative_bound():
