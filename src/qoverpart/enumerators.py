@@ -14,21 +14,24 @@ member)`` for every weight up to the bound.  A single weight is the same walk
 bounded at that weight, building only the members that reach it, and an
 overpartition class walks its base once and attaches the overline sets.
 
-Counting does not walk: ``count_sequence`` fills one weight table per class,
-counting base partitions by weight and number of parts from the state
-``(bound, phase)`` alone, and convolves it with a knapsack over the admissible
-overline sets for each number of parts.  Its cost is polynomial in the weight,
-and it shares only the class dataclasses and the overline admissibility rule
-with the generators, so a count checked against an enumeration is a check of
-two routes.  The almost-self-conjugate partitions and the Stembridge pairs are
-counted the same way, from a knapsack over the distinct entries of their
-Frobenius symbols.
+Counting does not walk: ``count_sequence`` fills a table by part size,
+keeping the last few layers of dense rows by weight and number of parts, up to
+the count where no overline cap binds, and folds in the overline sets by
+Horner over that count.  Its cost is polynomial in the weight, and it shares
+only the class dataclasses and the overline admissibility rule with the
+generators, so a count checked against an enumeration is a check of two
+routes.  The almost-self-conjugate partitions and the Stembridge pairs are
+counted from a knapsack over the distinct entries of their Frobenius symbols.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from collections import deque
+from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
+from operator import add
 from typing import Iterator
 
 from .partitions import Overpartition, Partition, partition_from_frobenius, FrobeniusSymbol
@@ -42,6 +45,14 @@ class Parity(Enum):
     ALTERNATING_FROM_ODD_SMALLEST = "alternating-from-odd-smallest"
     # strict descent at odd positions, weak at even: l1 > l2 >= l3 > l4 >= ...
     SLATER121_PATTERN = "slater121-pattern"
+
+
+# a Parity member lookup costs 148 ns, a module name 14 (CPython 3.11)
+_ANY = Parity.ANY
+_ODD = Parity.ALL_ODD
+_EVEN = Parity.ALL_EVEN
+_ALTERNATING = Parity.ALTERNATING_FROM_ODD_SMALLEST
+_SLATER = Parity.SLATER121_PATTERN
 
 
 @dataclass(frozen=True)
@@ -63,6 +74,8 @@ class PartitionClass:
             raise ValueError(f"min_gap must be nonnegative, got {self.min_gap}")
         if (self.forbid_consecutive_evens or self.forbid_consecutive_odds) and self.min_gap < 2:
             raise ValueError(f"a forbidden consecutive pair needs min_gap >= 2, got {self.min_gap}")
+        if self.residue_filter is not None and self.residue_filter[0] < 1:
+            raise ValueError(f"a residue modulus must be at least 1, got {self.residue_filter[0]}")
 
 
 @dataclass(frozen=True)
@@ -73,13 +86,19 @@ class OverlineRule:
     open-ended).  An overlined magnitude is admissible iff at least one rule
     applies to it and it satisfies the residue and cap constraints of every
     rule that applies.  ``cap`` is affine in the count r of non-overlined
-    parts: v <= slope*r + intercept.
+    parts: v <= slope*r + intercept, slope >= 0, so caps never shrink as r grows.
     """
 
     low: int = 1
     high: int | None = None
     residue: tuple[int, frozenset[int]] | None = None
     cap: tuple[int, int] | None = None
+
+    def __post_init__(self) -> None:
+        if self.residue is not None and self.residue[0] < 1:
+            raise ValueError(f"a residue modulus must be at least 1, got {self.residue[0]}")
+        if self.cap is not None and self.cap[0] < 0:
+            raise ValueError(f"a cap slope must be nonnegative, got {self.cap[0]}")
 
 
 @dataclass(frozen=True)
@@ -100,20 +119,20 @@ def matches_partition(cls: PartitionClass, parts: Partition) -> bool:
             return False
         if i and parts[i - 1] - p < cls.min_gap:
             return False
-        if cls.parity is Parity.ALL_ODD and p % 2 == 0:
+        if cls.parity is _ODD and p % 2 == 0:
             return False
-        if cls.parity is Parity.ALL_EVEN and p % 2 == 1:
+        if cls.parity is _EVEN and p % 2 == 1:
             return False
         if cls.residue_filter is not None:
             modulus, allowed = cls.residue_filter
             if p % modulus not in allowed:
                 return False
-    if cls.parity is Parity.ALTERNATING_FROM_ODD_SMALLEST:
+    if cls.parity is _ALTERNATING:
         increasing = parts[::-1]
         for j, p in enumerate(increasing):
             if (p - (j + 1)) % 2 != 0:
                 return False
-    if cls.parity is Parity.SLATER121_PATTERN:
+    if cls.parity is _SLATER:
         for j in range(len(parts) - 1):
             if j % 2 == 0 and parts[j] <= parts[j + 1]:
                 return False
@@ -165,17 +184,15 @@ def matches_overpartition(cls: OverpartitionClass, op: Overpartition) -> bool:
 
 
 def _part_ok(cls: PartitionClass, p: int, chosen: list[int]) -> bool:
-    # a Parity member lookup costs more than the test it guards (about
-    # 200 ns on CPython 3.11), so ANY parity, the common case, pays for one
     parity = cls.parity
-    if parity is not Parity.ANY:
-        if parity is Parity.ALL_ODD:
+    if parity is not _ANY:
+        if parity is _ODD:
             if p % 2 == 0:
                 return False
-        elif parity is Parity.ALL_EVEN:
+        elif parity is _EVEN:
             if p % 2 == 1:
                 return False
-        elif parity is Parity.ALTERNATING_FROM_ODD_SMALLEST:
+        elif parity is _ALTERNATING:
             # "j-th part from below is j mod 2" is "neighbours alternate in
             # parity and the smallest part is odd"; _close_ok checks the
             # smallest part
@@ -196,13 +213,13 @@ def _close_ok(cls: PartitionClass, chosen: list[int]) -> bool:
     if cls.smallest_part_in is not None:
         if not chosen or chosen[-1] not in cls.smallest_part_in:
             return False
-    if chosen and chosen[-1] % 2 == 0 and cls.parity is Parity.ALTERNATING_FROM_ODD_SMALLEST:
+    if chosen and chosen[-1] % 2 == 0 and cls.parity is _ALTERNATING:
         return False
     return True
 
 
 def _next_bound(cls: PartitionClass, p: int, position: int) -> int:
-    if cls.parity is Parity.SLATER121_PATTERN:
+    if cls.parity is _SLATER:
         # position is the 1-based index of p; descent is strict after odd
         # positions and weak after even ones, and never less than the gap
         return p - max(cls.min_gap, position % 2)
@@ -287,43 +304,29 @@ def iter_overpartitions(n: int, cls: OverpartitionClass) -> Iterator[Overpartiti
 _ANY_PARITY = 2
 
 
-def _add_rows(a: list[int], b: list[int]) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = a[:]
-    for i, x in enumerate(b):
-        out[i] += x
-    return out
+def _base_rows(cls: PartitionClass, top: int, parts_cap: int) -> list[list[int]]:
+    """rows[r][m]: members of weight m <= top with r parts (row parts_cap: or more).
 
-
-def _base_table(cls: PartitionClass, top: int) -> list[list[int]]:
-    """B[m][r]: members of weight m with r parts, for every m <= top.
-
-    Parts are placed largest first.  ``tables[rem][bound, phase]`` counts, by
-    number of parts, the ways to place the weight ``rem`` still missing with
-    parts <= bound, given what was placed so far.  ``phase`` is, for
-    SLATER121_PATTERN, the parity of the number of parts placed (a part at an
-    odd position is followed by a strictly smaller one).  For
-    ALTERNATING_FROM_ODD_SMALLEST it is the parity the next part must have:
-    counted from the smallest part, the j-th part is j mod 2 exactly when
-    neighbours alternate in parity and the smallest is odd.
-
-    A forbidden consecutive pair needs a gap of 2 or more, so p + 2 can only
-    be a part as the one just above p: after a part of the forbidden parity
-    the next one drops by at least 3.
-
-    An entry either skips ``bound`` (bound - 1 is the new limit) or places it,
-    so each one costs two lookups into entries of smaller (rem, bound).
+    Filled by part size b, outermost, as Π 1/(1 - q^b) is built factor by
+    factor (Andrews, *The Theory of Partitions*, ch. 1).  ``layer[phase][r]``
+    counts by weight the tails of r parts <= b after a part that left
+    ``phase``: the parity of the number of parts placed (SLATER121_PATTERN)
+    or of the next part (ALTERNATING_FROM_ODD_SMALLEST).  A tail lacks b or
+    is b and a tail from ``step`` layers below, the empty one only if b may
+    be smallest; under a gap >= 2 a forbidden pair is a drop of at least 3.
+    A drop of 0 into the same phase reads the layer being built; its last
+    row, reading itself, is divided by 1 - q^b.  Rows past the most parts
+    that fit are left out.
     """
-    slater = cls.parity is Parity.SLATER121_PATTERN
-    alternating = cls.parity is Parity.ALTERNATING_FROM_ODD_SMALLEST
+    slater = cls.parity is _SLATER
+    alternating = cls.parity is _ALTERNATING
     phases = (0, 1, _ANY_PARITY) if alternating else (0, 1) if slater else (0,)
+    forbidden = (cls.forbid_consecutive_evens, cls.forbid_consecutive_odds)
+    last = max(parts_cap, 1)
 
     def fits(p: int, smallest: bool) -> bool:
         """The rules on a part that do not depend on the parts above it."""
-        if cls.parity is Parity.ALL_ODD and p % 2 == 0:
-            return False
-        if cls.parity is Parity.ALL_EVEN and p % 2 == 1:
+        if (cls.parity is _ODD and p % 2 == 0) or (cls.parity is _EVEN and p % 2 == 1):
             return False
         if cls.residue_filter is not None:
             modulus, allowed = cls.residue_filter
@@ -342,67 +345,66 @@ def _base_table(cls: PartitionClass, top: int) -> list[list[int]]:
             step, phase = (max(step, 1) if phase == 0 else step), phase ^ 1
         elif alternating:
             phase = (p % 2) ^ 1
-        if (cls.forbid_consecutive_evens, cls.forbid_consecutive_odds)[p % 2]:
+        if forbidden[p % 2]:
             step = max(step, 3)
         return step, phase
 
-    tables: list[dict[tuple[int, int], list[int]]] = [{} for _ in range(top + 1)]
+    depth = max(cls.min_gap, 3 if any(forbidden) else 1)
+    layers = deque([{phase: [[1] + [0] * top] for phase in phases}] * depth, maxlen=depth)
+    for b in range(cls.min_part, top + 1):
+        below = layers[-1]
+        if not fits(b, smallest=False):
+            layers.append(below)
+            continue
+        phase_ok = (b % 2, _ANY_PARITY) if alternating else phases
+        lowest = 0 if fits(b, smallest=True) else 1
+        layer: dict[int, list[list[int]]] = {}
+        # phases that cannot take b are copied first: a drop of 0 may read them
+        for phase in sorted(phases, key=phase_ok.__contains__):
+            rows = layer[phase] = below[phase][:]
+            if phase not in phase_ok:
+                continue
+            step, next_phase = advance(b, phase)
+            source = layer[next_phase] if step == 0 else layers[-step][next_phase]
+            # when source is rows, this loop also reads the rows it appends
+            for r, row in enumerate(source):
+                if source is rows and r == last:
+                    rows[last] = row = row[:]
+                    for residue in range(min(b, top + 1 - b)):
+                        row[residue::b] = accumulate(row[residue::b])
+                    break
+                fitting = row[:top + 1 - b]
+                if r >= lowest and any(fitting):
+                    j = min(r + 1, last)
+                    rows += [[0] * (top + 1)] * (j + 1 - len(rows))
+                    rows[j] = rows[j][:b] + list(map(add, rows[j][b:], fitting))
+        layers.append(layer)
 
-    def lookup(rem: int, bound: int, phase: int) -> list[int]:
-        if rem == 0:
-            return [1]
-        if bound > rem:
-            bound = rem
-        if bound < cls.min_part:
-            return []
-        return tables[rem][bound, phase]
-
-    for rem in range(1, top + 1):
-        table = tables[rem]
-        for p in range(cls.min_part, rem + 1):
-            placeable = fits(p, smallest=p == rem)
-            phase_ok = (p % 2, _ANY_PARITY) if alternating else phases
-            for phase in phases:
-                # p left out: the limit drops to p - 1
-                row = lookup(rem, p - 1, phase)
-                if placeable and phase in phase_ok:
-                    step, next_phase = advance(p, phase)
-                    rest = lookup(rem - p, p - step, next_phase)
-                    if rest:
-                        row = _add_rows(row, [0] + rest)
-                table[p, phase] = row
-
-    start = _ANY_PARITY if alternating else 0
-    empty = [1] if cls.smallest_part_in is None else []
-    return [empty] + [lookup(m, m, start) for m in range(1, top + 1)]
+    tails = layers[-1][_ANY_PARITY if alternating else 0][1:]
+    rows = [[int(cls.smallest_part_in is None)] + [0] * top] + tails
+    return [list(map(sum, zip(*rows)))] if parts_cap == 0 else rows
 
 
-def _overpartition_counts(cls: OverpartitionClass, top: int) -> list[int]:
-    """Class sizes at weights 0..top as sum over m, r of B[m][r] * O_r[n - m].
+def _overpartition_fold(cls: OverpartitionClass, top: int) -> list[int]:
+    """Class sizes at weights 0..top: Σ_r B_r Π_{v in A(r)} (1 + q^v), folded by Horner.
 
-    O_r[w] counts the distinct admissible overline sets of weight w when the
-    base partition has r parts.  Admissibility depends only on (v, r), so the
-    values of r that admit the same magnitudes share one knapsack, and their
-    base columns are summed before the convolution.
+    B_r counts base partitions with r parts, A(r) the admissible overlines.
+    A(r) only grows with r, so the sum is O_0 (B_0 + P_1 (B_1 + ...)), P_r
+    bringing in the magnitudes first admissible at r.  Rows past the least r
+    at which no cap binds below top are kept as one.
     """
-    base = _base_table(cls.base, top)
-    columns: dict[tuple[int, ...], list[int]] = {}
-    for r in range(max(map(len, base), default=0)):
-        allowed = tuple(v for v in range(1, top + 1) if _admissible(cls.rules, v, r))
-        column = columns.setdefault(allowed, [0] * (top + 1))
-        for m, row in enumerate(base):
-            if r < len(row):
-                column[m] += row[r]
+    caps = [-((rule.cap[1] - top) // rule.cap[0])
+            for rule in cls.rules if rule.cap is not None and rule.cap[0] > 0]
+    rows = _base_rows(cls.base, top, min(max([0, *caps]), top))
+    first: list[list[int]] = [[] for _ in range(len(rows) + 1)]
+    for v in range(1, top + 1):
+        r = bisect_left(range(len(rows)), True, key=lambda k: _admissible(cls.rules, v, k))
+        first[r].append(v)
     counts = [0] * (top + 1)
-    for allowed, column in columns.items():
-        overlines = [1] + [0] * top
-        for v in allowed:
-            for w in range(top, v - 1, -1):
-                overlines[w] += overlines[w - v]
-        for m, b in enumerate(column):
-            if b:
-                for w in range(top - m + 1):
-                    counts[m + w] += b * overlines[w]
+    for r in range(len(rows) - 1, -1, -1):
+        counts = list(map(add, counts, rows[r]))
+        for v in first[r]:
+            counts[v:] = map(add, counts[v:], counts[:-v])
     return counts
 
 
@@ -509,16 +511,13 @@ def _pair_counts(variant: str, bound: int) -> list[int]:
 def _lebesgue_class(alpha: int, beta: int) -> OverpartitionClass:
     k = 4 * alpha + beta
     return OverpartitionClass(
-        base=PartitionClass(min_gap=1, parity=Parity.ALL_EVEN),
+        base=PartitionClass(min_gap=1, parity=_EVEN),
         rules=(
             OverlineRule(low=max(k, 1), residue=(2, frozenset({k % 2})), cap=(2, k - 2)),
             OverlineRule(low=1, high=k - 1, residue=(4, frozenset({(beta + 2) % 4}))),
         ),
     )
 
-
-_ODD = Parity.ALL_ODD
-_EVEN = Parity.ALL_EVEN
 
 PARTITION_CLASSES: dict[str, PartitionClass] = {
     "d": PartitionClass(min_gap=1),
@@ -549,7 +548,7 @@ for _k in range(1, 6):
 OVERPARTITION_CLASSES: dict[str, OverpartitionClass] = {
     "over": OverpartitionClass(PartitionClass(), (OverlineRule(),)),
     "e-over": OverpartitionClass(
-        PartitionClass(min_gap=1, parity=Parity.ALTERNATING_FROM_ODD_SMALLEST),
+        PartitionClass(min_gap=1, parity=_ALTERNATING),
         (OverlineRule(cap=(1, 0)),),
     ),
     "rr1-over": OverpartitionClass(
@@ -582,7 +581,7 @@ OVERPARTITION_CLASSES: dict[str, OverpartitionClass] = {
         (OverlineRule(residue=(2, frozenset({1})), cap=(2, 0)),),
     ),
     "slater121-over": OverpartitionClass(
-        PartitionClass(parity=Parity.SLATER121_PATTERN),
+        PartitionClass(parity=_SLATER),
         (OverlineRule(residue=(2, frozenset({0})), cap=(2, -1)),),
     ),
 }
@@ -659,21 +658,21 @@ def partitions_upto(class_id: str, bound: int) -> Iterator[tuple[int, Partition]
 def count_sequence(class_id: str, bound: int) -> list[int]:
     """Class sizes at every weight 0..bound.
 
-    Partition and overpartition classes are counted from weight tables
-    (``_base_table``, ``_overpartition_counts``) that never call the
+    Partition and overpartition classes are counted from layered tables by
+    part size (``_base_rows``) with a Horner fold of the overline sets over
+    the number of parts (``_overpartition_fold``).  They never call the
     generators, so comparing a count with an enumeration compares two routes.
     ``almost-sc`` and the pair classes are counted from knapsack tables over
-    Frobenius entries (``_frobenius_table``), which read only the weight
-    rules of the symbols and share no code with ``_base_table`` or with
-    ``iter_almost_self_conjugate``.
+    Frobenius entries (``_frobenius_table``), which share no code with
+    ``_base_rows`` or with ``iter_almost_self_conjugate``.
     """
     kind = class_kind(class_id)
     if bound < 0:
         raise ValueError("weight must be nonnegative")
     if kind == "partition":
-        return [sum(row) for row in _base_table(PARTITION_CLASSES[class_id], bound)]
+        return _base_rows(PARTITION_CLASSES[class_id], bound, 0)[0]
     if kind == "overpartition":
-        return _overpartition_counts(OVERPARTITION_CLASSES[class_id], bound)
+        return _overpartition_fold(OVERPARTITION_CLASSES[class_id], bound)
     if class_id == "almost-sc":
         rows, _ = _frobenius_table(bound, 0, 2)
         return [sum(column) for column in zip(*rows)]

@@ -6,6 +6,16 @@ these exist so the fast paths have something dumb and trustworthy to be
 compared against.
 """
 
+from __future__ import annotations
+
+from qoverpart.enumerators import (
+    OverpartitionClass,
+    PartitionClass,
+    Parity,
+    _admissible,
+)
+
+
 def partitions_of(n, max_part=None):
     """All weakly decreasing positive tuples summing to n."""
     if max_part is None:
@@ -202,3 +212,134 @@ def stembridge_pairs_by_stats(n, variant):
         for largest, count in by_largest.items():
             total += count * sum(c for d, c in tc.items() if largest <= d + bonus)
     return total
+
+
+# -- the dictionary count tables ----------------------------------------------
+# The reference for the layered tables in ``qoverpart.enumerators``: the
+# package's earlier counting route, kept unchanged.  A table keyed
+# (rem, bound, phase) sums its rows by number of parts one entry at a time, in
+# O(n^3) memory, and is convolved with one overline knapsack per group of
+# values of r.  Like the layered tables, it reads the class dataclasses and
+# ``_admissible`` from the package, and nothing else.
+
+# phase of an alternating-parity class before its first (largest) part
+_ANY_PARITY = 2
+
+
+def _add_rows(a: list[int], b: list[int]) -> list[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    out = a[:]
+    for i, x in enumerate(b):
+        out[i] += x
+    return out
+
+
+def _base_table(cls: PartitionClass, top: int) -> list[list[int]]:
+    """B[m][r]: members of weight m with r parts, for every m <= top.
+
+    Parts are placed largest first.  ``tables[rem][bound, phase]`` counts, by
+    number of parts, the ways to place the weight ``rem`` still missing with
+    parts <= bound, given what was placed so far.  ``phase`` is, for
+    SLATER121_PATTERN, the parity of the number of parts placed (a part at an
+    odd position is followed by a strictly smaller one).  For
+    ALTERNATING_FROM_ODD_SMALLEST it is the parity the next part must have:
+    counted from the smallest part, the j-th part is j mod 2 exactly when
+    neighbours alternate in parity and the smallest is odd.
+
+    A forbidden consecutive pair needs a gap of 2 or more, so p + 2 can only
+    be a part as the one just above p: after a part of the forbidden parity
+    the next one drops by at least 3.
+
+    An entry either skips ``bound`` (bound - 1 is the new limit) or places it,
+    so each one costs two lookups into entries of smaller (rem, bound).
+    """
+    slater = cls.parity is Parity.SLATER121_PATTERN
+    alternating = cls.parity is Parity.ALTERNATING_FROM_ODD_SMALLEST
+    phases = (0, 1, _ANY_PARITY) if alternating else (0, 1) if slater else (0,)
+
+    def fits(p: int, smallest: bool) -> bool:
+        """The rules on a part that do not depend on the parts above it."""
+        if cls.parity is Parity.ALL_ODD and p % 2 == 0:
+            return False
+        if cls.parity is Parity.ALL_EVEN and p % 2 == 1:
+            return False
+        if cls.residue_filter is not None:
+            modulus, allowed = cls.residue_filter
+            if p % modulus not in allowed:
+                return False
+        if smallest and alternating and p % 2 == 0:
+            return False
+        if smallest and cls.smallest_part_in is not None:
+            return p in cls.smallest_part_in
+        return True
+
+    def advance(p: int, phase: int) -> tuple[int, int]:
+        """The least drop to the next part, and the next phase, once p is placed."""
+        step = cls.min_gap
+        if slater:
+            step, phase = (max(step, 1) if phase == 0 else step), phase ^ 1
+        elif alternating:
+            phase = (p % 2) ^ 1
+        if (cls.forbid_consecutive_evens, cls.forbid_consecutive_odds)[p % 2]:
+            step = max(step, 3)
+        return step, phase
+
+    tables: list[dict[tuple[int, int], list[int]]] = [{} for _ in range(top + 1)]
+
+    def lookup(rem: int, bound: int, phase: int) -> list[int]:
+        if rem == 0:
+            return [1]
+        if bound > rem:
+            bound = rem
+        if bound < cls.min_part:
+            return []
+        return tables[rem][bound, phase]
+
+    for rem in range(1, top + 1):
+        table = tables[rem]
+        for p in range(cls.min_part, rem + 1):
+            placeable = fits(p, smallest=p == rem)
+            phase_ok = (p % 2, _ANY_PARITY) if alternating else phases
+            for phase in phases:
+                # p left out: the limit drops to p - 1
+                row = lookup(rem, p - 1, phase)
+                if placeable and phase in phase_ok:
+                    step, next_phase = advance(p, phase)
+                    rest = lookup(rem - p, p - step, next_phase)
+                    if rest:
+                        row = _add_rows(row, [0] + rest)
+                table[p, phase] = row
+
+    start = _ANY_PARITY if alternating else 0
+    empty = [1] if cls.smallest_part_in is None else []
+    return [empty] + [lookup(m, m, start) for m in range(1, top + 1)]
+
+
+def _overpartition_counts(cls: OverpartitionClass, top: int) -> list[int]:
+    """Class sizes at weights 0..top as sum over m, r of B[m][r] * O_r[n - m].
+
+    O_r[w] counts the distinct admissible overline sets of weight w when the
+    base partition has r parts.  Admissibility depends only on (v, r), so the
+    values of r that admit the same magnitudes share one knapsack, and their
+    base columns are summed before the convolution.
+    """
+    base = _base_table(cls.base, top)
+    columns: dict[tuple[int, ...], list[int]] = {}
+    for r in range(max(map(len, base), default=0)):
+        allowed = tuple(v for v in range(1, top + 1) if _admissible(cls.rules, v, r))
+        column = columns.setdefault(allowed, [0] * (top + 1))
+        for m, row in enumerate(base):
+            if r < len(row):
+                column[m] += row[r]
+    counts = [0] * (top + 1)
+    for allowed, column in columns.items():
+        overlines = [1] + [0] * top
+        for v in allowed:
+            for w in range(top, v - 1, -1):
+                overlines[w] += overlines[w - v]
+        for m, b in enumerate(column):
+            if b:
+                for w in range(top - m + 1):
+                    counts[m + w] += b * overlines[w]
+    return counts

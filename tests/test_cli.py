@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -102,6 +106,30 @@ def test_count_range_records(capsys):
 def test_count_requires_exactly_one_range_flag(capsys):
     assert run(["count", "--class", "d"]) == 2
     assert run(["count", "--class", "d", "--n", "3", "--max-n", "5"]) == 2
+
+
+# the dictionary count table held O(n^3) integers: 5.1 GB for this command
+COUNT_OVER_800 = """
+import resource, sys
+from qoverpart import cli
+code = cli.run(["count", "--class", "over", "--max-n", "800"])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+"""
+
+
+def test_count_over_to_800_peaks_under_200_mb_in_a_child_process():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", COUNT_OVER_800],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, peak_kb = proc.stderr.split()[-2:]
+    assert code == "0"
+    assert proc.stdout.splitlines()[-1].split()[0] == "800"
+    # ru_maxrss is in kilobytes on Linux
+    assert int(peak_kb) < 200 * 1024, peak_kb
 
 
 # -- coeff ------------------------------------------------------------------------

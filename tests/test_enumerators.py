@@ -11,7 +11,8 @@ from qoverpart.enumerators import (
     OverpartitionClass,
     PartitionClass,
     Parity,
-    _base_table,
+    _base_rows,
+    _overpartition_fold,
     class_kind,
     count_class,
     count_sequence,
@@ -210,14 +211,86 @@ def test_prefix_walk_yields_each_member_once_at_its_weight(label):
 
 @pytest.mark.parametrize("label", sorted(WALKED_CLASSES))
 def test_base_table_rows_match_the_walk_by_number_of_parts(label):
-    # the overpartition convolution reads B[m][r] row by row, so the split by
-    # number of parts is checked, not only the row sums
+    # the overline fold reads the base rows by number of parts, so the split
+    # by number of parts is checked, not only the row sums
     cls = WALKED_CLASSES[label]
-    table = _base_table(cls, WALK_LIMIT)
-    assert len(table) == WALK_LIMIT + 1
-    cells = {(m, r): c for m, row in enumerate(table) for r, c in enumerate(row) if c}
+    rows = _base_rows(cls, WALK_LIMIT, WALK_LIMIT)
+    assert all(len(row) == WALK_LIMIT + 1 for row in rows)
+    cells = {(m, r): c for r, row in enumerate(rows) for m, c in enumerate(row) if c}
     walked = Counter((w, len(parts)) for w, parts in iter_partitions_upto(WALK_LIMIT, cls))
     assert cells == dict(walked)
+
+
+TABLE_ORACLE_LIMIT = 60
+
+
+def collapsed(table, top, parts_cap):
+    """The oracle's B[m][r] to weight top, rows of parts_cap parts or more summed."""
+    rows = [[0] * (top + 1) for _ in range(parts_cap + 1)]
+    for m, row in enumerate(table[:top + 1]):
+        for r, c in enumerate(row):
+            rows[min(r, parts_cap)][m] += c
+    return rows
+
+
+def padded(rows, top, parts_cap):
+    """Layered rows with the rows past the most parts that fit put back as zeros."""
+    assert len(rows) <= parts_cap + 1
+    assert all(len(row) == top + 1 for row in rows)
+    # a row is made only when a member lands in it, so the last one is not empty
+    assert len(rows) == 1 or any(rows[-1])
+    return rows + [[0] * (top + 1)] * (parts_cap + 1 - len(rows))
+
+
+@pytest.mark.parametrize("label", sorted(WALKED_CLASSES))
+def test_layered_rows_match_the_dictionary_table_at_every_top(label):
+    cls = WALKED_CLASSES[label]
+    table = oracles._base_table(cls, TABLE_ORACLE_LIMIT)
+    for top in range(TABLE_ORACLE_LIMIT + 1):
+        for parts_cap in sorted({0, 1, 2, 3, top}):
+            assert padded(_base_rows(cls, top, parts_cap), top, parts_cap) == collapsed(
+                table, top, parts_cap
+            ), (top, parts_cap)
+
+
+# every parity pattern under every gap, with and without a forbidden pair: a
+# drop of 0 reads the layer being built, in the same phase or in another one
+GRID_CLASSES = [
+    PartitionClass(parity=parity, min_gap=gap, forbid_consecutive_evens=evens,
+                   forbid_consecutive_odds=odds)
+    for parity in Parity
+    for gap in range(4)
+    for evens, odds in ((False, False), (True, False), (False, True))
+    if gap >= 2 or not (evens or odds)
+]
+
+
+@pytest.mark.parametrize("cls", GRID_CLASSES, ids=lambda cls: (
+    f"{cls.parity.value}-gap{cls.min_gap}"
+    f"{'-evens' * cls.forbid_consecutive_evens}{'-odds' * cls.forbid_consecutive_odds}"
+))
+def test_layered_rows_match_the_dictionary_table_on_a_grid_of_classes(cls):
+    top = 24
+    table = oracles._base_table(cls, top)
+    for parts_cap in (0, 1, 2, 3, top):
+        assert padded(_base_rows(cls, top, parts_cap), top, parts_cap) == collapsed(
+            table, top, parts_cap
+        ), parts_cap
+
+
+@pytest.mark.parametrize(
+    "class_id",
+    [i for i in registered_class_ids() if class_kind(i) in ("partition", "overpartition")],
+)
+def test_count_sequence_matches_the_dictionary_tables_to_60(class_id):
+    if class_kind(class_id) == "partition":
+        table = oracles._base_table(PARTITION_CLASSES[class_id], TABLE_ORACLE_LIMIT)
+        expected = [sum(row) for row in table]
+    else:
+        expected = oracles._overpartition_counts(
+            OVERPARTITION_CLASSES[class_id], TABLE_ORACLE_LIMIT
+        )
+    assert count_sequence(class_id, TABLE_ORACLE_LIMIT) == expected
 
 
 RANDOM_CLASS_LIMIT = 14
@@ -246,8 +319,8 @@ def partition_classes(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(partition_classes())
-def test_table_walk_and_predicate_agree_on_random_classes(cls):
+@given(partition_classes(), st.integers(0, RANDOM_CLASS_LIMIT + 1))
+def test_table_walk_and_predicate_agree_on_random_classes(cls, parts_cap):
     pool = partitions_up_to(RANDOM_CLASS_LIMIT)
     filtered = [
         sum(1 for p in pool[n] if matches_partition(cls, p))
@@ -256,8 +329,34 @@ def test_table_walk_and_predicate_agree_on_random_classes(cls):
     walked = [0] * (RANDOM_CLASS_LIMIT + 1)
     for w, _ in iter_partitions_upto(RANDOM_CLASS_LIMIT, cls):
         walked[w] += 1
-    table = [sum(row) for row in _base_table(cls, RANDOM_CLASS_LIMIT)]
+    table = _base_rows(cls, RANDOM_CLASS_LIMIT, 0)[0]
     assert table == walked == filtered
+    rows = _base_rows(cls, RANDOM_CLASS_LIMIT, parts_cap)
+    reference = oracles._base_table(cls, RANDOM_CLASS_LIMIT)
+    assert padded(rows, RANDOM_CLASS_LIMIT, parts_cap) == collapsed(
+        reference, RANDOM_CLASS_LIMIT, parts_cap
+    )
+
+
+@st.composite
+def overline_rules(draw):
+    low = draw(st.integers(1, 4))
+    return OverlineRule(
+        low=low,
+        high=draw(st.none() | st.integers(low, low + 8)),
+        residue=draw(st.none() | st.tuples(
+            st.integers(1, 4), st.frozensets(st.integers(0, 3), min_size=1, max_size=2)
+        )),
+        cap=draw(st.none() | st.tuples(st.integers(0, 3), st.integers(-3, 5))),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(partition_classes(), st.lists(overline_rules(), min_size=1, max_size=2))
+def test_overline_fold_matches_the_knapsack_convolution_on_random_rules(base, rules):
+    cls = OverpartitionClass(base, tuple(rules))
+    top = 20
+    assert _overpartition_fold(cls, top) == oracles._overpartition_counts(cls, top)
 
 
 @pytest.mark.parametrize(
@@ -268,11 +367,32 @@ def test_table_walk_and_predicate_agree_on_random_classes(cls):
         ({"forbid_consecutive_evens": True}, "needs min_gap >= 2"),
         ({"forbid_consecutive_evens": True, "min_gap": 1}, "needs min_gap >= 2"),
         ({"forbid_consecutive_odds": True, "min_gap": 1}, "needs min_gap >= 2"),
+        ({"residue_filter": (0, frozenset({0}))}, "residue modulus must be at least 1"),
+        ({"residue_filter": (-3, frozenset({0}))}, "residue modulus must be at least 1"),
     ],
 )
 def test_partition_class_refuses_bad_fields(fields, message):
     with pytest.raises(ValueError, match=message):
         PartitionClass(**fields)
+
+
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        ({"residue": (0, frozenset({0}))}, "residue modulus must be at least 1"),
+        ({"residue": (-2, frozenset({1}))}, "residue modulus must be at least 1"),
+        # the overline fold needs the admissible sets to grow with r
+        ({"cap": (-1, 5)}, "cap slope must be nonnegative"),
+    ],
+)
+def test_overline_rule_refuses_bad_fields(fields, message):
+    with pytest.raises(ValueError, match=message):
+        OverlineRule(**fields)
+
+
+def test_overline_rule_accepts_a_flat_cap_and_a_unit_modulus():
+    assert OverlineRule(residue=(1, frozenset({0})), cap=(0, 3)).cap == (0, 3)
+    assert PartitionClass(residue_filter=(1, frozenset({0}))).residue_filter[0] == 1
 
 
 def test_prefix_walk_rejects_a_negative_bound():
