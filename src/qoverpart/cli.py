@@ -305,10 +305,10 @@ def run(argv: Sequence[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    for name in ("n", "max_n"):
+    for name, least in (("n", 0), ("max_n", 0), ("jobs", 1)):
         value = getattr(args, name, None)
-        if value is not None and value < 0:
-            print(f"error: --{name.replace('_', '-')} must be >= 0", file=sys.stderr)
+        if value is not None and value < least:
+            print(f"error: --{name.replace('_', '-')} must be >= {least}", file=sys.stderr)
             return 2
     try:
         return _HANDLERS[args.command](args)

@@ -13,6 +13,8 @@ its own weight.  So one pass with an explicit stack yields ``(weight,
 member)`` for every weight up to the bound.  A single weight is the same walk
 bounded at that weight, building only the members that reach it, and an
 overpartition class walks its base once and attaches the overline sets.
+The almost-self-conjugate partitions are the class ``d`` walk at half the
+weight, read as the top rows of their Frobenius symbols.
 
 Counting does not walk: ``count_sequence`` fills a table by part size,
 keeping the last few layers of dense rows by weight and number of parts, up to
@@ -414,31 +416,22 @@ def _overpartition_fold(cls: OverpartitionClass, top: int) -> list[int]:
 
 
 def iter_almost_self_conjugate(n: int) -> Iterator[Partition]:
-    """Partitions whose Frobenius top row is the bottom row plus one.
+    """Partitions whose Frobenius top row is the bottom row plus one, unsorted.
 
-    Walks symbols (b_i+1 ; b_i) directly: weight is 2d + 2*sum(b) over
-    strictly decreasing b_1 > ... > b_d >= 0.  At n=0 the empty partition is
-    yielded, which is the counting convention used by the identity harness;
-    the standalone predicate still rejects the empty partition.
+    A symbol (b+1 ; b) over distinct b >= 0 weighs 2*sum(b+1), so its top
+    rows b+1 are a distinct-parts partition of n/2: the members come from
+    the class ``d`` walk at n/2.  At n=0 the empty partition is yielded,
+    which is the counting convention used by the identity harness; the
+    standalone predicate still rejects the empty partition.
     """
     if n < 0:
         raise ValueError("weight must be nonnegative")
     if n % 2:
         return iter(())
-
-    def rec(remaining_half: int, prev: int, acc: list[int]) -> Iterator[Partition]:
-        # each new entry b adds (b + 1) to the half-weight
-        if remaining_half == 0:
-            bottom = tuple(acc)
-            top = tuple(b + 1 for b in bottom)
-            yield partition_from_frobenius(FrobeniusSymbol(top, bottom))
-            return
-        for b in range(min(prev - 1, remaining_half - 1), -1, -1):
-            acc.append(b)
-            yield from rec(remaining_half - b - 1, b, acc)
-            acc.pop()
-
-    return rec(n // 2, n // 2 + 1, [])
+    return (
+        partition_from_frobenius(FrobeniusSymbol(top, tuple(a - 1 for a in top)))
+        for top in iter_partitions(n // 2, PARTITION_CLASSES["d"])
+    )
 
 
 STEMBRIDGE_VARIANTS = ("gg1", "gg2", "lg1", "lg2")

@@ -7,22 +7,22 @@ is an error rather than a guess.  Offsets may be negative (a few product
 factors below start at q^-1 or q^-2) but are guarded so a runaway computation
 fails loudly instead of allocating without bound.
 
-Products expand on a dense coefficient list with two in-place kernels,
-multiply and divide by one binomial (1 - sign*q^e), each one C-level pass.
-A sum side is built from one running term: stepping term n-1 to term n
-applies only the binomials whose net power changed.  Each negative-exponent
-factor (1 - sign*q^e) is kept as the monomial -sign*q^e times the power
-series (1 - sign*q^-e), so the running term carries no Laurent tail: it is
-cut at the precision its own lowest exponent leaves room for, and every
-coefficient through the order is exact however far a negative shift pulls a
-term back.
+Product sides and sum terms alike are q^a times families of binomials
+(1 - sign*q^e)^(+-1), and both split through one decomposition: a monomial
+q^m, an integer, and a power series with a unit constant term (each
+negative-exponent factor is -sign*q^e times (1 - sign*q^-e)).  That series
+expands on a dense coefficient list of q^m .. q^order with two in-place
+kernels, multiply and divide by one binomial, each one C-level pass, so
+every coefficient through the order is exact however far a negative shift
+pulls a term back.  A sum side is built from one running term: stepping
+term n-1 to term n applies only the binomials whose net power changed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, count, repeat
-from operator import add, mul, neg, sub
+from operator import add, mul, sub
 from typing import Callable, Iterable
 
 INFINITE = float("inf")
@@ -275,45 +275,50 @@ def _no_unit_constant_term(e: int) -> ValueError:
     return ValueError(f"inverse factor with exponent {e} has no unit constant term")
 
 
-def _expand_family(c: list[int], offset: int, order: int, f: ProductFactor) -> int:
-    """Multiply the coefficients c of q^offset .. q^order in place by one family.
+def _net_binomials(
+    families: tuple[ProductFactor, ...], exponent: int, order: int
+) -> tuple[int, int, dict[tuple[int, int], int]]:
+    """Split q^exponent * prod families into q^m, an integer coef and binomials.
 
-    A factor with a negative exponent e is -sign*q^e*(1 - sign*q^-e): it is
-    applied as that positive binomial on a list padded by -e zeros at the
-    top, and then lowers the offset by -e.  Returns the new offset.
+    A factor (1 - sign*q^e) with e < 0 is -sign*q^e*(1 - sign*q^-e), and one
+    with e = 0 is the integer 1 - sign, so the product is
+    coef * q^m * prod (1 - sign*q^|e|)^p with m = exponent plus the sum of
+    the negative exponents.  The binomials form a power series with a unit
+    constant term, and ``powers`` maps each (sign, |e|), e != 0 and
+    |e| <= order - m, to its net power p: expanding them on coefficients of
+    q^m .. q^order is exact through q^order, whatever the negative exponents.
+    An inverse factor with e <= 0 has no such expansion and is refused,
+    whether or not the order reaches it.
     """
-    sign = f.sign
-    for e in _family_exponents(f):
-        if e > order - offset:
-            break
-        if f.power == -1:
-            if e < 1:
+    m = exponent
+    coef = 1
+    for f in families:
+        for e in _family_exponents(f):
+            if e > 0:
+                break
+            if f.power == -1:
                 raise _no_unit_constant_term(e)
-            divide_binomial(c, sign, e)
-        elif e > 0:
-            multiply_binomial(c, sign, e)
-        elif e == 0:
-            c[:] = map(mul, c, repeat(1 - sign))
-        else:
-            _check_offset(offset + e)
-            c.extend(repeat(0, -e))
-            multiply_binomial(c, sign, -e)
-            if sign == 1:
-                c[:] = map(neg, c)
-            offset += e
-    return offset
+            m += e
+            coef *= -f.sign if e else 1 - f.sign
+    _check_offset(m)
+    top = order - m
+    powers: dict[tuple[int, int], int] = {}
+    for f in families:
+        for e in _family_exponents(f):
+            if e > top:
+                break
+            if e and abs(e) <= top:
+                key = (f.sign, abs(e))
+                powers[key] = powers.get(key, 0) + f.power
+    return m, coef, powers
 
 
-def pochhammer(f: ProductFactor, order: int) -> LaurentSeries:
-    """Expand one factor family, such as a Pochhammer symbol, as a truncated series.
-
-    An INFINITE length stops at the first factor that cannot reach q^order.
-    Negative-exponent factors come first in the symbol, while the product is
-    still a polynomial, so the expansion is exact through q^order.
-    """
-    c = [1] + [0] * order
-    offset = _expand_family(c, 0, order, f)
-    return LaurentSeries(offset, c, order)
+def _apply_net_powers(c: list[int], powers: dict[tuple[int, int], int]) -> None:
+    """c <- c * prod (1 - sign*q^e)^p in place over the (sign, e): p entries."""
+    for (sign, e), p in powers.items():
+        kernel = multiply_binomial if p > 0 else divide_binomial
+        for _ in range(abs(p)):
+            kernel(c, sign, e)
 
 
 def apply_inverse_factors(
@@ -324,15 +329,23 @@ def apply_inverse_factors(
     Power -1 families are expanded geometrically, e.g. 1/(1-q^k) =
     1 + q^k + q^2k + ... and 1/(1+q^k) = 1 - q^k + q^2k - ...; every such
     factor must have a unit constant term (exponent >= 1) or the expansion
-    would not be a power series, and that is reported as an error.
+    would not be a power series, and that is reported as an error.  The
+    result is exact through q^order.
     """
     order = series.order
-    offset = series.offset
+    m, coef, powers = _net_binomials(factors, series.offset, order)
     c = list(series.coeffs)
-    c.extend(repeat(0, order - offset + 1 - len(c)))
-    for f in factors:
-        offset = _expand_family(c, offset, order, f)
-    return LaurentSeries(offset, c, order)
+    c.extend(repeat(0, order - m + 1 - len(c)))
+    _apply_net_powers(c, powers)
+    return LaurentSeries(m, c if coef == 1 else map(mul, c, repeat(coef)), order)
+
+
+def pochhammer(f: ProductFactor, order: int) -> LaurentSeries:
+    """Expand one factor family, such as a Pochhammer symbol, as a truncated series.
+
+    An INFINITE length stops at the first factor that cannot reach q^order.
+    """
+    return apply_inverse_factors(one(order), (f,))
 
 
 def _guard_step(last_min: int | None, m: int, stall: int, guard: int) -> int:
@@ -385,22 +398,14 @@ def sum_term_family(
 ) -> LaurentSeries:
     """constant + scale * sum_{n >= start} q^exponent(n) * prod factors(n).
 
-    The terms share one running body.  Term n is
-    coef * q^(exponent(n) + mass(n)) * body, where mass(n) is the sum of the
-    negative factor exponents and the body is the product of the binomials
-    (1 - sign*q^|e|), e != 0, taken with their net powers: each factor with
-    e < 0 is -sign*q^e*(1 - sign*q^-e), and the e = 0 factors and the -sign
-    parts multiply into the integer coef.  The body is a power series with a
-    unit constant term, so stepping it from term n-1 to term n multiplies or
-    divides it in place by just the binomials whose net power changed, each
-    one pass, and keeping it to q^(order - exponent(n) - mass(n)) loses
-    nothing: every coefficient is exact through q^order, whatever the
-    negative exponents.
+    The terms share one running body: term n is coef * q^m * body, split by
+    ``_net_binomials``.  Stepping the body from term n-1 to term n
+    multiplies or divides it in place by just the binomials whose net power
+    changed, each one pass, and it is kept to q^(order - m).
 
-    Summation stops at the first term whose lowest exponent,
-    exponent(n) + mass(n), exceeds the order.  That exponent must not
-    decrease from one term to the next, nor stay put for more than
-    ``STALL_GUARD`` terms.
+    Summation stops at the first term whose lowest exponent m exceeds the
+    order.  That exponent must not decrease from one term to the next, nor
+    stay put for more than ``STALL_GUARD`` terms.
     """
     body: list[int] = []
     held: dict[tuple[int, int], int] = {}
@@ -410,47 +415,20 @@ def sum_term_family(
     stall = 0
     n = start
     while True:
-        families = factors(n)
-        mass = 0
-        for f in families:
-            for e in _family_exponents(f):
-                if e > 0:
-                    break
-                if f.power == -1:
-                    raise _no_unit_constant_term(e)
-                mass += e
-        m = exponent(n) + mass
+        m, coef, powers = _net_binomials(factors(n), exponent(n), order)
         if m > order:
             break
         stall = _guard_step(last_min, m, stall, STALL_GUARD)
         last_min = m
         if total is None:
-            _check_offset(m)
             lo = min(m, 0)
             total = [0] * (order - lo + 1)
             body = [1] + [0] * (order - m)
         del body[order - m + 1:]
-
-        powers: dict[tuple[int, int], int] = {}
-        for f in families:
-            for e in _family_exponents(f):
-                if e > order - m:
-                    break
-                key = (f.sign, e)
-                powers[key] = powers.get(key, 0) + f.power
-        coef = 1
-        for (sign, e), p in powers.items():
-            if e < 0:
-                coef *= (-sign) ** p
-            elif e == 0:
-                coef *= (1 - sign) ** p
-        for key in held.keys() | powers.keys():
-            sign, e = key
-            change = powers.get(key, 0) - held.get(key, 0)
-            if e and change:
-                step_body = multiply_binomial if change > 0 else divide_binomial
-                for _ in range(abs(change)):
-                    step_body(body, sign, abs(e))
+        _apply_net_powers(body, {
+            key: powers.get(key, 0) - held.get(key, 0)
+            for key in held.keys() | powers.keys()
+        })
         held = powers
         if coef:
             term = body if coef == 1 else map(mul, body, repeat(coef))

@@ -132,6 +132,17 @@ def test_count_over_to_800_peaks_under_200_mb_in_a_child_process():
     assert int(peak_kb) < 200 * 1024, peak_kb
 
 
+def test_python_dash_m_runs_the_cli_in_a_child_process():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "qoverpart", "count", "--class", "d", "--n", "5"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "5 3\n"
+
+
 # -- coeff ------------------------------------------------------------------------
 
 
@@ -269,6 +280,19 @@ def test_verify_jobs_flag(capsys):
          "--no-elapsed", "--jobs", "2"],
     )
     assert len(out.splitlines()) == 55
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_verify_jobs_below_one_exits_2(capsys, jobs):
+    assert run(["verify", "--id", "all", "--max-n", "2", "--jobs", jobs]) == 2
+    captured = capsys.readouterr()
+    assert "error: --jobs must be >= 1" in captured.err
+    assert captured.out == ""
+
+
+def test_verify_one_job_gives_the_sequential_records(capsys):
+    argv = ["verify", "--id", "all", "--max-n", "2", "--format", "records", "--no-elapsed"]
+    assert run_ok(capsys, argv + ["--jobs", "1"]) == run_ok(capsys, argv)
 
 
 def test_verify_failure_exits_1(capsys):

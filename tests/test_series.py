@@ -380,6 +380,13 @@ def test_inverse_factor_without_unit_constant_term_is_an_error():
         apply_inverse_factors(one(10), spec)
 
 
+@pytest.mark.parametrize("shift", [0, -1])
+def test_inverse_factor_without_unit_constant_term_is_refused_on_the_zero_series(shift):
+    spec = (ProductFactor(1, shift, 1, -1),)
+    with pytest.raises(ValueError, match="no unit constant term"):
+        apply_inverse_factors(zero(10), spec)
+
+
 def test_factor_power_must_be_a_unit():
     spec = (ProductFactor(1, 1, 1, 2),)
     with pytest.raises(ValueError, match="power"):
@@ -409,6 +416,97 @@ def test_inverse_factors_cancel_against_their_direct_expansion(factors, x):
     inverse = tuple(factors)
     forward = tuple(ProductFactor(f.sign, f.shift, f.step, 1, f.length) for f in factors)
     assert apply_inverse_factors(apply_inverse_factors(x, inverse), forward) == x
+
+
+# -- the shared decomposition against a plain product -------------------------
+
+
+def times_binomial(poly, sign, e, power, cap):
+    """{exponent: coefficient} times (1 - sign*q^e)^power, dropping exponents above cap."""
+    if power == 1:
+        factor = [(0, 1), (e, -sign)]
+    else:
+        factor = [(k * e, sign**k) for k in range((cap - min(poly, default=0)) // e + 1)]
+    out = {}
+    for a, x in poly.items():
+        for b, y in factor:
+            if a + b <= cap:
+                out[a + b] = out.get(a + b, 0) + x * y
+    return out
+
+
+def reference_product(factors, exponent, cap):
+    """q^exponent * prod factors as {exponent: coefficient}, one binomial at a time.
+
+    Exponents above cap are dropped as they appear; factors below pull no
+    exponent down by more than 9, so the result is exact through cap - 10.
+    """
+    poly = {exponent: 1}
+    for f in factors:
+        j = 0
+        while j < f.length and f.shift + j * f.step <= cap:
+            poly = times_binomial(poly, f.sign, f.shift + j * f.step, f.power, cap)
+            j += 1
+    return poly
+
+
+@st.composite
+def product_factors(draw, length):
+    """A family with sign +-1, shift -2..4 (power -1 only from shift 1), step 1..3."""
+    shift = draw(st.integers(min_value=-2, max_value=4))
+    power = draw(st.sampled_from((1, -1))) if shift >= 1 else 1
+    return ProductFactor(
+        draw(st.sampled_from((1, -1))), shift, draw(st.integers(min_value=1, max_value=3)),
+        power, draw(length),
+    )
+
+
+finite_or_infinite = st.one_of(st.just(INFINITE), st.integers(min_value=0, max_value=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(product_factors(finite_or_infinite), min_size=1, max_size=3),
+    st.integers(min_value=0, max_value=30),
+)
+def test_product_expansion_matches_a_plain_product(factors, order):
+    expected = reference_product(factors, 0, order + 10)
+    m = sum(
+        f.shift + j * f.step
+        for f in factors
+        for j in range(3)
+        if j < f.length and f.shift + j * f.step < 0
+    )
+    lo = min(m, 0)
+    got = apply_inverse_factors(one(order), tuple(factors))
+    assert got.coeff_range(lo, order) == [expected.get(k, 0) for k in range(lo, order + 1)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    product_factors(st.just(0)),
+    product_factors(st.just(0)),
+    st.integers(min_value=-3, max_value=2),
+    st.integers(min_value=0, max_value=30),
+)
+def test_running_sum_matches_a_sum_of_plain_products(first, second, a, order):
+    # families of n factors each lower a term by at most 6, so the lowest
+    # exponent n*n + 4*n + a - 6 (a at n=0) grows strictly with n
+    def factors(n):
+        return tuple(
+            ProductFactor(f.sign, f.shift, f.step, f.power, n) for f in (first, second)
+        )
+
+    cap = order + 10
+    expected = {}
+    n = 0
+    while n * n + 4 * n + a - 6 <= cap:
+        for k, x in reference_product(factors(n), n * n + 4 * n + a, cap).items():
+            expected[k] = expected.get(k, 0) + x
+        n += 1
+    got = sum_term_family(lambda n: n * n + 4 * n + a, factors, order)
+    lo = min(a, 0)
+    assert got.coeff_range(lo, order) == [expected.get(k, 0) for k in range(lo, order + 1)]
 
 
 # -- term summation ----------------------------------------------------------
