@@ -66,10 +66,6 @@ def map_f(parts: Partition) -> Overpartition:
     """
     _require_strict(parts, 1, "map f input")
     inc = parts[::-1]
-    if all((p - (j + 1)) % 2 == 0 for j, p in enumerate(inc)):
-        # already the target shape; the general route gives an all-zero
-        # statistic and agrees, but the fixed point is the map's definition
-        return Overpartition(parts, ())
     bits = tuple((p - (j + 1)) % 2 for j, p in enumerate(inc))
     t = t_of_binary(bits)
     mu = tuple(p - t[j] for j, p in enumerate(inc))[::-1]

@@ -457,9 +457,8 @@ def _frobenius_table(top: int, lo: int, extra: int) -> tuple[list[list[int]], li
         if any(rows[-1]):
             rows.append([0] * (top + 1))
         for d in range(len(rows) - 1, 0, -1):
-            fewer, row = rows[d - 1], rows[d]
-            for w in range(top, c - 1, -1):
-                row[w] += fewer[w - c]
+            # rows[d - 1] is not yet updated for c, as d descends
+            rows[d][c:] = map(add, rows[d][c:], rows[d - 1][:top + 1 - c])
     return rows, largest
 
 

@@ -163,11 +163,28 @@ def _sum_side(
     return Side(label, kind, values)
 
 
-def _product_side(label: str, factors: tuple[ProductFactor, ...]) -> Side:
+def _product_side(label: str, factors: tuple[ProductFactor, ...] | None = None) -> Side:
+    """A product side; its factors default to those declared under its label."""
+    if factors is None:
+        factors = _PRODUCTS[label]
+
     def values(order: int) -> list[int]:
         return _checked_prefix(apply_inverse_factors(one(order), factors), order, "expansion")
 
     return Side(label, SideKind.SERIES_PRODUCT, values)
+
+
+def _image_side(map_id: str, source: str) -> Side:
+    def values(bound: int) -> list[int]:
+        # images are grouped by the weight of their source, so a map that
+        # moved weight would still be counted per n
+        forward = get_map(map_id).forward
+        images: list[set] = [set() for _ in range(bound + 1)]
+        for n, lam in partitions_upto(source, bound):
+            images[n].add(forward(lam))
+        return [len(s) for s in images]
+
+    return Side(f"image:{map_id}[{source}]", SideKind.MAP_IMAGE, values, cap=TRANSPORT_BOUND)
 
 
 # -- b-file handling ---------------------------------------------------------
@@ -237,401 +254,68 @@ def _bfile_side(name: str, offset: int) -> Side:
 
 F = ProductFactor
 
+# every product side's factors, declared once under the side's label; the
+# identities that share a product name it by that label
+_PRODUCTS = {
+    "product:(-q;q)": (F(-1, 1, 1, 1),),
+    "product:1/(q;q^2)": (F(1, 1, 2, -1),),
+    "product:mod8-147": (F(1, 1, 8, -1), F(1, 4, 8, -1), F(1, 7, 8, -1)),
+    "product:mod8-345": (F(1, 3, 8, -1), F(1, 4, 8, -1), F(1, 5, 8, -1)),
+    "product:(-q^2;q^2)(-q;q^4)": (F(-1, 2, 2, 1), F(-1, 1, 4, 1)),
+    "product:mod8-237": (F(1, 2, 8, -1), F(1, 3, 8, -1), F(1, 7, 8, -1)),
+    "product:mod8-156": (F(1, 1, 8, -1), F(1, 5, 8, -1), F(1, 6, 8, -1)),
+    "product:(-q^2;q^4)/(q^2;q^4)": (F(-1, 2, 4, 1), F(1, 2, 4, -1)),
+    "product:mod8-246": (F(1, 2, 8, -1), F(1, 4, 8, -1), F(1, 6, 8, -1)),
+    "product:mod8-268": (F(1, 2, 8, -1), F(1, 6, 8, -1), F(1, 8, 8, -1)),
+    "product:middle": (F(-1, 1, 2, 1), F(1, 2, 8, 1), F(1, 6, 8, 1), F(1, 4, 4, 1),
+                       F(1, 1, 1, -1)),
+    "product:(-q;q^2)/(q;q^2)": (F(-1, 1, 2, 1), F(1, 1, 2, -1)),
+    "product:mod16": (F(1, 2, 16, 1), F(1, 14, 16, 1), F(1, 16, 16, 1),
+                      F(1, 12, 32, 1), F(1, 20, 32, 1), F(1, 1, 1, -1)),
+    "product:mod32": tuple(F(1, s, 32, 1) for s in (2, 12, 14, 16, 18, 20, 30, 32))
+    + (F(1, 1, 1, -1),),
+}
+
+# the product of each specialized Lebesgue sum, by beta
 _LEBESGUE_CASE_PRODUCTS = {
-    -1: (F(1, 1, 8, -1), F(1, 5, 8, -1), F(1, 6, 8, -1)),
-    0: (F(-1, 2, 4, 1), F(1, 2, 4, -1)),
-    1: (F(1, 2, 8, -1), F(1, 3, 8, -1), F(1, 7, 8, -1)),
-    2: (F(1, 2, 8, -1), F(1, 4, 8, -1), F(1, 6, 8, -1)),
+    -1: "product:mod8-156",
+    0: "product:(-q^2;q^4)/(q^2;q^4)",
+    1: "product:mod8-237",
+    2: "product:mod8-246",
 }
 
+# Goellnitz-Gordon and little Goellnitz identities: the class, its overlay,
+# a product and the Stembridge pairs of the same name
+_GG_FAMILY = (
+    ("fgg", "gg1", "product:mod8-147",
+     "first Goellnitz-Gordon class, its overpartition overlay, the mod-8 "
+     "{1,4,7} product, and self-conjugate pair counts"),
+    ("sgg", "gg2", "product:mod8-345",
+     "second Goellnitz-Gordon class, its overlay, the mod-8 {3,4,5} "
+     "product, and pair counts with positive entries"),
+    ("flg", "lg1", "product:(-q^2;q^2)(-q;q^4)",
+     "first little Goellnitz class, its overlay, the product "
+     "(-q^2;q^2)(-q;q^4), and almost-self-conjugate pair counts"),
+    ("slg", "lg2", "product:mod8-237",
+     "second little Goellnitz class, its overlay, the mod-8 {2,3,7} "
+     "product, and pair counts"),
+)
 
-def _euler_record() -> IdentityRecord:
-    return IdentityRecord(
-        "euler",
-        "distinct parts equal odd parts (Euler), with both classical products",
-        (
-            _count_side("d"),
-            _count_side("odd"),
-            _product_side("product:(-q;q)", (F(-1, 1, 1, 1),)),
-            _product_side("product:1/(q;q^2)", (F(1, 1, 2, -1),)),
-        ),
-    )
-
-
-def _dk_record(k: int) -> IdentityRecord:
-    return IdentityRecord(
-        f"dk:k={k}",
-        f"distinct parts equal overpartitions whose overlines stay below {k}",
-        (
-            _count_side("d"),
-            _count_side(f"dk-over:k={k}"),
-            _sum_side(
-                "sum",
-                lambda n, k=k: k * n + n * (n - 1) // 2,
-                lambda n, k=k: (F(-1, 1, 1, 1, k - 1), F(1, 1, 1, -1, n)),
-            ),
-        ),
-    )
-
-
-def _thmd_record() -> IdentityRecord:
-    return IdentityRecord(
-        "thmd",
-        "distinct parts equal overpartitions with parity-alternating "
-        "non-overlined parts starting odd",
-        (
-            _count_side("d"),
-            _count_side("e-over"),
-            _sum_side(
-                "sum:distinct",
-                lambda n: n * (n + 1) // 2,
-                lambda n: (F(1, 1, 1, -1, n),),
-            ),
-            _sum_side(
-                "sum:over",
-                lambda n: n * (n + 1) // 2,
-                lambda n: (F(-1, 1, 1, 1, n), F(1, 2, 2, -1, n)),
-            ),
-        ),
-    )
-
-
-def _frr_record() -> IdentityRecord:
-    return IdentityRecord(
-        "frr",
-        "gap-two partitions as overpartitions with odd distinct non-overlined "
-        "parts (first Rogers-Ramanujan overlay)",
-        (
-            _count_side("rr1"),
-            _count_side("rr1-over"),
-            _sum_side(
-                "sum",
-                lambda n: n * n,
-                lambda n: (F(-1, 1, 1, 1, n), F(1, 2, 2, -1, n)),
-            ),
-            _count_side("mod5-14"),
-        ),
-    )
-
-
-def _frr2_record() -> IdentityRecord:
-    return IdentityRecord(
-        "frr2",
-        "gap-two partitions as overpartitions with even distinct non-overlined "
-        "parts, overlines allowed up to length plus one",
-        (
-            _count_side("rr1"),
-            _count_side("rr1star-over"),
-            _sum_side(
-                "sum",
-                lambda n: n * n + n,
-                lambda n: (F(-1, 1, 1, 1, n + 1), F(1, 2, 2, -1, n)),
-            ),
-        ),
-    )
-
-
-def _srr_record() -> IdentityRecord:
-    return IdentityRecord(
-        "srr",
-        "gap-two partitions with parts above 1 as overpartitions with even "
-        "distinct non-overlined parts (second Rogers-Ramanujan overlay)",
-        (
-            _count_side("rr2"),
-            _count_side("rr2-over"),
-            _sum_side(
-                "sum",
-                lambda n: n * n + n,
-                lambda n: (F(-1, 1, 1, 1, n), F(1, 2, 2, -1, n)),
-            ),
-            _count_side("mod5-23"),
-        ),
-    )
-
-
-def _a027349_record() -> IdentityRecord:
-    return IdentityRecord(
-        "a027349",
-        "two series for partitions of n+1 into distinct odd parts with least "
-        "part 1, cross-checked against the vendored sequence file",
-        (
-            _sum_side(
-                "sum:a",
-                lambda n: n * n + 2 * n,
-                lambda n: (F(1, 1, 2, 1, n), F(1, 1, 1, -1, 2 * n)),
-            ),
-            _sum_side(
-                "sum:b",
-                lambda n: n * n,
-                lambda n: (F(1, 1, 2, 1, n + 1), F(1, 1, 1, -1, 2 * n)),
-            ),
-            _shifted_side("distinct-odd-least1", 1),
-            _bfile_side("a027349.txt", 0),
-        ),
-    )
-
-
-def _fgg_record() -> IdentityRecord:
-    return IdentityRecord(
-        "fgg",
-        "first Goellnitz-Gordon class, its overpartition overlay, the mod-8 "
-        "{1,4,7} product, and self-conjugate pair counts",
-        (
-            _count_side("gg1"),
-            _count_side("gg1-over"),
-            _product_side("product:mod8-147", (F(1, 1, 8, -1), F(1, 4, 8, -1), F(1, 7, 8, -1))),
-            _pair_side("gg1"),
-        ),
-    )
-
-
-def _sgg_record() -> IdentityRecord:
-    return IdentityRecord(
-        "sgg",
-        "second Goellnitz-Gordon class, its overlay, the mod-8 {3,4,5} "
-        "product, and pair counts with positive entries",
-        (
-            _count_side("gg2"),
-            _count_side("gg2-over"),
-            _product_side("product:mod8-345", (F(1, 3, 8, -1), F(1, 4, 8, -1), F(1, 5, 8, -1))),
-            _pair_side("gg2"),
-        ),
-    )
-
-
-def _dgg_record() -> IdentityRecord:
-    return IdentityRecord(
-        "dgg",
-        "Goellnitz-Gordon partitions containing 1 or 2, their overlay, and "
-        "the difference series",
-        (
-            _count_side("dgg12"),
-            _count_side("dgg12-over"),
-            _sum_side(
-                "sum:difference",
-                lambda n: n * n,
-                lambda n: (F(-1, 1, 2, 1, n), F(1, 2 * n, 1, 1, 1), F(1, 2, 2, -1, n)),
-                start=1,
-            ),
-        ),
-    )
-
-
-def _flg_record() -> IdentityRecord:
-    return IdentityRecord(
-        "flg",
-        "first little Goellnitz class, its overlay, the product "
-        "(-q^2;q^2)(-q;q^4), and almost-self-conjugate pair counts",
-        (
-            _count_side("lg1"),
-            _count_side("lg1-over"),
-            _product_side("product:(-q^2;q^2)(-q;q^4)", (F(-1, 2, 2, 1), F(-1, 1, 4, 1))),
-            _pair_side("lg1"),
-        ),
-    )
-
-
-def _slg_record() -> IdentityRecord:
-    return IdentityRecord(
-        "slg",
-        "second little Goellnitz class, its overlay, the mod-8 {2,3,7} "
-        "product, and pair counts",
-        (
-            _count_side("lg2"),
-            _count_side("lg2-over"),
-            _product_side("product:mod8-237", (F(1, 2, 8, -1), F(1, 3, 8, -1), F(1, 7, 8, -1))),
-            _pair_side("lg2"),
-        ),
-    )
-
-
-def _lebesgue_record(alpha: int, beta: int) -> IdentityRecord:
-    k = 4 * alpha + beta
-    sides = [
-        _sum_side(
-            "sum",
-            lambda n: n * (n + 1),
-            lambda n, k=k, a=alpha, b=beta: (
-                F(-1, k, 2, 1, n), F(-1, b + 2, 4, 1, a), F(1, 2, 2, -1, n)
-            ),
-        ),
-    ]
-    if alpha >= 1:
-        sides.append(
-            _sum_side(
-                "sum:alt",
-                lambda n: n * (n + 1),
-                lambda n, k=k, a=alpha, b=beta: (
-                    F(-1, k - 2, 2, 1, n + 1), F(-1, b + 2, 4, 1, a - 1), F(1, 2, 2, -1, n)
-                ),
-            )
-        )
-    sides.append(_product_side("product:case", _LEBESGUE_CASE_PRODUCTS[beta]))
-    sides.append(_count_side(f"lebesgue:a={alpha},b={beta}", proven=False))
-    return IdentityRecord(
-        f"lebesgue:a={alpha},b={beta}",
-        f"specialized Lebesgue sum with k={k}, its case product, and the "
-        "stated overpartition reading (unproven)",
-        tuple(sides),
-    )
-
-
-def _lebesgue_k0_record() -> IdentityRecord:
-    return IdentityRecord(
-        "lebesgue:k=0",
-        "the k=0 Lebesgue specialization equals one plus twice the tail sum",
-        (
-            _sum_side(
-                "sum",
-                lambda n: n * (n + 1),
-                lambda n: (F(-1, 0, 2, 1, n), F(1, 2, 2, -1, n)),
-            ),
-            _sum_side(
-                "scaled:1+2*tail",
-                lambda n: n * (n + 1),
-                lambda n: (F(-1, 2, 2, 1, n - 1), F(1, 2, 2, -1, n)),
-                start=1,
-                constant=1,
-                scale=2,
-                kind=SideKind.SCALED,
-            ),
-        ),
-        note="the right side is registered as 1 + 2*(sum from n=1), the "
-        "doubled-tail convention for the zero-shift symbol",
-    )
-
-
-_HGL_SUMS = {
-    "hgl1": ("sum", lambda n: 2 * n * n - n,
-             lambda n: (F(-1, 1, 4, 1, n), F(1, 2, 2, -1, 2 * n))),
-    "hgl2": ("sum", lambda n: 2 * n * n + n,
-             lambda n: (F(-1, -1, 4, 1, n), F(1, 2, 2, -1, 2 * n))),
-    "hgl3": ("sum", lambda n: 2 * n * n,
-             lambda n: (F(-1, 0, 4, 1, n), F(1, 2, 2, -1, 2 * n))),
-    "hgl4": ("sum", lambda n: 2 * n * n + 2 * n,
-             lambda n: (F(-1, -2, 4, 1, n), F(1, 2, 2, -1, 2 * n))),
-    "hgl5": ("sum", lambda n: 2 * n * n,
-             lambda n: (F(-1, 2, 4, 1, n), F(1, 4, 4, -1, n), F(1, 4, 4, -1, n))),
+# q-Gauss specializations: exponent, factor family and the product's label
+_HGL = {
+    "hgl1": (lambda n: 2 * n * n - n,
+             lambda n: (F(-1, 1, 4, 1, n), F(1, 2, 2, -1, 2 * n)), "product:mod8-156"),
+    "hgl2": (lambda n: 2 * n * n + n,
+             lambda n: (F(-1, -1, 4, 1, n), F(1, 2, 2, -1, 2 * n)), "product:mod8-237"),
+    "hgl3": (lambda n: 2 * n * n,
+             lambda n: (F(-1, 0, 4, 1, n), F(1, 2, 2, -1, 2 * n)),
+             "product:(-q^2;q^4)/(q^2;q^4)"),
+    "hgl4": (lambda n: 2 * n * n + 2 * n,
+             lambda n: (F(-1, -2, 4, 1, n), F(1, 2, 2, -1, 2 * n)), "product:mod8-246"),
+    "hgl5": (lambda n: 2 * n * n,
+             lambda n: (F(-1, 2, 4, 1, n), F(1, 4, 4, -1, n), F(1, 4, 4, -1, n)),
+             "product:mod8-268"),
 }
-
-_HGL_PRODUCTS = {
-    "hgl1": ("product:mod8-156", (F(1, 1, 8, -1), F(1, 5, 8, -1), F(1, 6, 8, -1))),
-    "hgl2": ("product:mod8-237", (F(1, 2, 8, -1), F(1, 3, 8, -1), F(1, 7, 8, -1))),
-    "hgl3": ("product:(-q^2;q^4)/(q^2;q^4)", (F(-1, 2, 4, 1), F(1, 2, 4, -1))),
-    "hgl4": ("product:mod8-246", (F(1, 2, 8, -1), F(1, 4, 8, -1), F(1, 6, 8, -1))),
-    "hgl5": ("product:mod8-268", (F(1, 2, 8, -1), F(1, 6, 8, -1), F(1, 8, 8, -1))),
-}
-
-
-def _hgl_record(name: str) -> IdentityRecord:
-    label, expo, family = _HGL_SUMS[name]
-    plabel, factors = _HGL_PRODUCTS[name]
-    return IdentityRecord(
-        name,
-        "q-Gauss specialization: quadratic-exponent sum equals its product",
-        (_sum_side(label, expo, family), _product_side(plabel, factors)),
-    )
-
-
-def _hgll_record(name: str) -> IdentityRecord:
-    base, shift, aux = {"hgll3": ("hgl3", 0, 2), "hgll4": ("hgl4", 2, 4)}[name]
-    label, expo, family = _HGL_SUMS[base]
-    plabel, factors = _HGL_PRODUCTS[base]
-    sides = [_sum_side("sum:quad", expo, family)]
-    for alpha in range(4):
-        sides.append(
-            _sum_side(
-                f"sum:lin:alpha={alpha}",
-                lambda n: n * (n + 1),
-                lambda n, a=alpha: (
-                    F(-1, 4 * a + shift, 2, 1, n), F(-1, aux, 4, 1, a), F(1, 2, 2, -1, n)
-                ),
-            )
-        )
-    sides.append(_product_side(plabel, factors))
-    return IdentityRecord(
-        name,
-        "cross-equality: one quadratic-exponent sum meets four linear-overlay "
-        "sums and the shared product",
-        tuple(sides),
-    )
-
-
-def _slater47_record() -> IdentityRecord:
-    return IdentityRecord(
-        "slater47",
-        "Slater-style sum against two equivalent product forms",
-        (
-            _sum_side(
-                "sum",
-                lambda n: n * n,
-                lambda n: (F(-1, 0, 2, 1, n), F(1, 1, 1, -1, 2 * n)),
-            ),
-            _product_side(
-                "product:middle",
-                (F(-1, 1, 2, 1), F(1, 2, 8, 1), F(1, 6, 8, 1), F(1, 4, 4, 1), F(1, 1, 1, -1)),
-            ),
-            _product_side("product:(-q;q^2)/(q;q^2)", (F(-1, 1, 2, 1), F(1, 1, 2, -1))),
-        ),
-    )
-
-
-def _slater121_record() -> IdentityRecord:
-    return IdentityRecord(
-        "slater121",
-        "Slater-style sum, two product forms, and the stated overpartition "
-        "reading (unproven)",
-        (
-            _sum_side(
-                "sum",
-                lambda n: n * n,
-                lambda n: (F(-1, 2, 2, 1, n - 1), F(1, 1, 1, -1, 2 * n)),
-                start=1,
-                constant=1,
-            ),
-            _product_side(
-                "product:mod16",
-                (F(1, 2, 16, 1), F(1, 14, 16, 1), F(1, 16, 16, 1),
-                 F(1, 12, 32, 1), F(1, 20, 32, 1), F(1, 1, 1, -1)),
-            ),
-            _product_side(
-                "product:mod32",
-                tuple(F(1, s, 32, 1) for s in (2, 12, 14, 16, 18, 20, 30, 32))
-                + (F(1, 1, 1, -1),),
-            ),
-            _count_side("slater121-over", proven=False),
-        ),
-    )
-
-
-def _almost_sc_record() -> IdentityRecord:
-    return IdentityRecord(
-        "almost-sc",
-        "almost-self-conjugate partitions are equinumerous with partitions "
-        "into distinct even parts",
-        (_count_side("distinct-even"), _count_side("almost-sc")),
-    )
-
-
-def _transport_record(record_id: str, map_id: str, source: str, target: str) -> IdentityRecord:
-    def values(bound: int, map_id=map_id, source=source) -> list[int]:
-        # images are grouped by the weight of their source, so a map that
-        # moved weight would still be counted per n
-        forward = get_map(map_id).forward
-        images: list[set] = [set() for _ in range(bound + 1)]
-        for n, lam in partitions_upto(source, bound):
-            images[n].add(forward(lam))
-        return [len(s) for s in images]
-
-    image = Side(f"image:{map_id}[{source}]", SideKind.MAP_IMAGE, values,
-                 cap=TRANSPORT_BOUND)
-    return IdentityRecord(
-        record_id,
-        f"distinct images of the {map_id} map over class {source} match the "
-        f"target class {target}",
-        (image, _count_side(target, cap=TRANSPORT_BOUND)),
-    )
-
 
 _STEMBRIDGE_SUMS = {
     "gg1": (("sum", lambda n: n * n,
@@ -648,67 +332,238 @@ _STEMBRIDGE_SUMS = {
              lambda n: (F(-1, 1, 2, 1, n), F(1, 2, 2, -1, n))),),
 }
 
-
-def _stembridge_record(variant: str) -> IdentityRecord:
-    sides = [_pair_side(variant)]
-    for label, expo, family in _STEMBRIDGE_SUMS[variant]:
-        sides.append(_sum_side(label, expo, family))
-    return IdentityRecord(
-        f"stembridge:{variant}",
-        f"pairs of (almost-)self-conjugate partitions for the {variant} "
-        "bound match the series",
-        tuple(sides),
-    )
+# record id and map, then (source, target) where it is not the map's own pair
+_TRANSPORTS = (
+    ("transport:f", "f"),
+    ("transport:h-oe", "h-oe"),
+    ("transport:h-eo:rr1", "h-eo"),
+    ("transport:h-eo:rr2", "h-eo", "rr2", "rr2-over"),
+    ("transport:g-gg:gg1", "g-gg"),
+    ("transport:g-gg:gg2", "g-gg", "gg2", "gg2-over"),
+    ("transport:g-gg:dgg12", "g-gg", "dgg12", "dgg12-over"),
+    ("transport:g-lg:lg1", "g-lg"),
+    ("transport:g-lg:lg2", "g-lg", "lg2", "lg2-over"),
+)
 
 
 def _build_registry() -> dict[str, IdentityRecord]:
-    records: list[IdentityRecord] = [_euler_record()]
-    records.extend(_dk_record(k) for k in range(1, 6))
-    records.append(_thmd_record())
-    records.append(_frr_record())
-    records.append(_frr2_record())
-    records.append(_srr_record())
-    records.append(_a027349_record())
-    records.append(_fgg_record())
-    records.append(_sgg_record())
-    records.append(_dgg_record())
-    records.append(_flg_record())
-    records.append(_slg_record())
+    records = [
+        IdentityRecord(
+            "euler",
+            "distinct parts equal odd parts (Euler), with both classical products",
+            (_count_side("d"), _count_side("odd"),
+             _product_side("product:(-q;q)"), _product_side("product:1/(q;q^2)")),
+        ),
+        *(IdentityRecord(
+            f"dk:k={k}",
+            f"distinct parts equal overpartitions whose overlines stay below {k}",
+            (
+                _count_side("d"),
+                _count_side(f"dk-over:k={k}"),
+                _sum_side(
+                    "sum",
+                    lambda n, k=k: k * n + n * (n - 1) // 2,
+                    lambda n, k=k: (F(-1, 1, 1, 1, k - 1), F(1, 1, 1, -1, n)),
+                ),
+            ),
+        ) for k in range(1, 6)),
+        IdentityRecord(
+            "thmd",
+            "distinct parts equal overpartitions with parity-alternating "
+            "non-overlined parts starting odd",
+            (
+                _count_side("d"),
+                _count_side("e-over"),
+                _sum_side("sum:distinct", lambda n: n * (n + 1) // 2,
+                          lambda n: (F(1, 1, 1, -1, n),)),
+                _sum_side("sum:over", lambda n: n * (n + 1) // 2,
+                          lambda n: (F(-1, 1, 1, 1, n), F(1, 2, 2, -1, n))),
+            ),
+        ),
+        IdentityRecord(
+            "frr",
+            "gap-two partitions as overpartitions with odd distinct non-overlined "
+            "parts (first Rogers-Ramanujan overlay)",
+            (
+                _count_side("rr1"),
+                _count_side("rr1-over"),
+                _sum_side("sum", lambda n: n * n,
+                          lambda n: (F(-1, 1, 1, 1, n), F(1, 2, 2, -1, n))),
+                _count_side("mod5-14"),
+            ),
+        ),
+        IdentityRecord(
+            "frr2",
+            "gap-two partitions as overpartitions with even distinct non-overlined "
+            "parts, overlines allowed up to length plus one",
+            (
+                _count_side("rr1"),
+                _count_side("rr1star-over"),
+                _sum_side("sum", lambda n: n * n + n,
+                          lambda n: (F(-1, 1, 1, 1, n + 1), F(1, 2, 2, -1, n))),
+            ),
+        ),
+        IdentityRecord(
+            "srr",
+            "gap-two partitions with parts above 1 as overpartitions with even "
+            "distinct non-overlined parts (second Rogers-Ramanujan overlay)",
+            (
+                _count_side("rr2"),
+                _count_side("rr2-over"),
+                _sum_side("sum", lambda n: n * n + n,
+                          lambda n: (F(-1, 1, 1, 1, n), F(1, 2, 2, -1, n))),
+                _count_side("mod5-23"),
+            ),
+        ),
+        IdentityRecord(
+            "a027349",
+            "two series for partitions of n+1 into distinct odd parts with least "
+            "part 1, cross-checked against the vendored sequence file",
+            (
+                _sum_side("sum:a", lambda n: n * n + 2 * n,
+                          lambda n: (F(1, 1, 2, 1, n), F(1, 1, 1, -1, 2 * n))),
+                _sum_side("sum:b", lambda n: n * n,
+                          lambda n: (F(1, 1, 2, 1, n + 1), F(1, 1, 1, -1, 2 * n))),
+                _shifted_side("distinct-odd-least1", 1),
+                _bfile_side("a027349.txt", 0),
+            ),
+        ),
+        *(IdentityRecord(
+            record_id,
+            description,
+            (_count_side(cls), _count_side(f"{cls}-over"), _product_side(product),
+             _pair_side(cls)),
+        ) for record_id, cls, product, description in _GG_FAMILY),
+        IdentityRecord(
+            "dgg",
+            "Goellnitz-Gordon partitions containing 1 or 2, their overlay, and "
+            "the difference series",
+            (
+                _count_side("dgg12"),
+                _count_side("dgg12-over"),
+                _sum_side(
+                    "sum:difference",
+                    lambda n: n * n,
+                    lambda n: (F(-1, 1, 2, 1, n), F(1, 2 * n, 1, 1, 1), F(1, 2, 2, -1, n)),
+                    start=1,
+                ),
+            ),
+        ),
+        IdentityRecord(
+            "lebesgue:k=0",
+            "the k=0 Lebesgue specialization equals one plus twice the tail sum",
+            (
+                _sum_side("sum", lambda n: n * (n + 1),
+                          lambda n: (F(-1, 0, 2, 1, n), F(1, 2, 2, -1, n))),
+                _sum_side(
+                    "scaled:1+2*tail",
+                    lambda n: n * (n + 1),
+                    lambda n: (F(-1, 2, 2, 1, n - 1), F(1, 2, 2, -1, n)),
+                    start=1,
+                    constant=1,
+                    scale=2,
+                    kind=SideKind.SCALED,
+                ),
+            ),
+            note="the right side is registered as 1 + 2*(sum from n=1), the "
+            "doubled-tail convention for the zero-shift symbol",
+        ),
+        *(IdentityRecord(
+            name,
+            "q-Gauss specialization: quadratic-exponent sum equals its product",
+            (_sum_side("sum", expo, family), _product_side(product)),
+        ) for name, (expo, family, product) in _HGL.items()),
+        IdentityRecord(
+            "slater47",
+            "Slater-style sum against two equivalent product forms",
+            (
+                _sum_side("sum", lambda n: n * n,
+                          lambda n: (F(-1, 0, 2, 1, n), F(1, 1, 1, -1, 2 * n))),
+                _product_side("product:middle"),
+                _product_side("product:(-q;q^2)/(q;q^2)"),
+            ),
+        ),
+        IdentityRecord(
+            "slater121",
+            "Slater-style sum, two product forms, and the stated overpartition "
+            "reading (unproven)",
+            (
+                _sum_side("sum", lambda n: n * n,
+                          lambda n: (F(-1, 2, 2, 1, n - 1), F(1, 1, 1, -1, 2 * n)),
+                          start=1, constant=1),
+                _product_side("product:mod16"),
+                _product_side("product:mod32"),
+                _count_side("slater121-over", proven=False),
+            ),
+        ),
+        IdentityRecord(
+            "almost-sc",
+            "almost-self-conjugate partitions are equinumerous with partitions "
+            "into distinct even parts",
+            (_count_side("distinct-even"), _count_side("almost-sc")),
+        ),
+        *(IdentityRecord(
+            f"stembridge:{variant}",
+            f"pairs of (almost-)self-conjugate partitions for the {variant} "
+            "bound match the series",
+            (_pair_side(variant), *(_sum_side(*s) for s in sums)),
+        ) for variant, sums in _STEMBRIDGE_SUMS.items()),
+    ]
     for alpha in range(4):
         for beta in (-1, 0, 1, 2):
-            if 4 * alpha + beta != 0:
-                records.append(_lebesgue_record(alpha, beta))
-    records.append(_lebesgue_k0_record())
-    records.extend(_hgl_record(f"hgl{i}") for i in range(1, 6))
-    records.append(_hgll_record("hgll3"))
-    records.append(_hgll_record("hgll4"))
-    records.append(_slater47_record())
-    records.append(_slater121_record())
-    records.append(_almost_sc_record())
-
-    transport_specs = (
-        ("transport:f", "f"),
-        ("transport:h-oe", "h-oe"),
-        ("transport:h-eo:rr1", "h-eo"),
-        ("transport:h-eo:rr2", "h-eo"),
-        ("transport:g-gg:gg1", "g-gg"),
-        ("transport:g-gg:gg2", "g-gg"),
-        ("transport:g-gg:dgg12", "g-gg"),
-        ("transport:g-lg:lg1", "g-lg"),
-        ("transport:g-lg:lg2", "g-lg"),
-    )
-    overrides = {
-        "transport:h-eo:rr2": ("rr2", "rr2-over"),
-        "transport:g-gg:gg2": ("gg2", "gg2-over"),
-        "transport:g-gg:dgg12": ("dgg12", "dgg12-over"),
-        "transport:g-lg:lg2": ("lg2", "lg2-over"),
-    }
-    for record_id, map_id in transport_specs:
+            k = 4 * alpha + beta
+            if k == 0:
+                continue
+            sides = [_sum_side(
+                "sum",
+                lambda n: n * (n + 1),
+                lambda n, k=k, a=alpha, b=beta: (
+                    F(-1, k, 2, 1, n), F(-1, b + 2, 4, 1, a), F(1, 2, 2, -1, n)
+                ),
+            )]
+            if alpha >= 1:
+                sides.append(_sum_side(
+                    "sum:alt",
+                    lambda n: n * (n + 1),
+                    lambda n, k=k, a=alpha, b=beta: (
+                        F(-1, k - 2, 2, 1, n + 1), F(-1, b + 2, 4, 1, a - 1), F(1, 2, 2, -1, n)
+                    ),
+                ))
+            records.append(IdentityRecord(
+                f"lebesgue:a={alpha},b={beta}",
+                f"specialized Lebesgue sum with k={k}, its case product, and the "
+                "stated overpartition reading (unproven)",
+                (*sides,
+                 _product_side("product:case", _PRODUCTS[_LEBESGUE_CASE_PRODUCTS[beta]]),
+                 _count_side(f"lebesgue:a={alpha},b={beta}", proven=False)),
+            ))
+    for name, base, shift, aux in (("hgll3", "hgl3", 0, 2), ("hgll4", "hgl4", 2, 4)):
+        expo, family, product = _HGL[base]
+        records.append(IdentityRecord(
+            name,
+            "cross-equality: one quadratic-exponent sum meets four linear-overlay "
+            "sums and the shared product",
+            (
+                _sum_side("sum:quad", expo, family),
+                *(_sum_side(
+                    f"sum:lin:alpha={alpha}",
+                    lambda n: n * (n + 1),
+                    lambda n, a=alpha, shift=shift, aux=aux: (
+                        F(-1, 4 * a + shift, 2, 1, n), F(-1, aux, 4, 1, a), F(1, 2, 2, -1, n)
+                    ),
+                ) for alpha in range(4)),
+                _product_side(product),
+            ),
+        ))
+    for record_id, map_id, *pair in _TRANSPORTS:
         spec = get_map(map_id)
-        source, target = overrides.get(record_id, (spec.source, spec.target))
-        records.append(_transport_record(record_id, map_id, source, target))
-
-    records.extend(_stembridge_record(v) for v in ("gg1", "gg2", "lg1", "lg2"))
+        source, target = pair or (spec.source, spec.target)
+        records.append(IdentityRecord(
+            record_id,
+            f"distinct images of the {map_id} map over class {source} match the "
+            f"target class {target}",
+            (_image_side(map_id, source), _count_side(target, cap=TRANSPORT_BOUND)),
+        ))
 
     registry = {}
     for r in records:

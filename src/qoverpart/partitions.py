@@ -114,9 +114,9 @@ def partition_from_frobenius(symbol: FrobeniusSymbol) -> Partition:
                 raise ValueError("Frobenius rows must be strictly decreasing")
     d = len(top)
     rows = [top[i] + i + 1 for i in range(d)]
-    max_row = bottom[0] + 1 if d else 0
-    for i in range(d, max_row):
-        rows.append(sum(1 for j in range(d) if bottom[j] + j + 1 >= i + 1))
+    # conjugating the column lengths gives every row; those past d lie
+    # below the Durfee square
+    rows += conjugate(tuple(b + j + 1 for j, b in enumerate(bottom)))[d:]
     return partition(rows)
 
 

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -119,6 +121,15 @@ def test_verify_all_statuses_at_small_bound():
     assert sorted(by_status["FLAGGED"]) == ["lebesgue:a=0,b=-1", "slater121"]
     assert len(by_status["PASS"]) == 53
     assert "FAIL" not in by_status
+
+
+def test_verify_all_records_match_the_benchmark_digest():
+    # the same bytes the benchmark gate pins for `verify --id all --max-n 40`
+    digests = json.loads(
+        (Path(__file__).resolve().parents[1] / "bench" / "digests.json").read_text())
+    text = render_records(verify_all(40), include_elapsed=False)
+    want = digests["verify --id all --max-n 40 --format records --no-elapsed"]
+    assert hashlib.sha256(text.encode()).hexdigest() == want
 
 
 def test_verify_all_accepts_an_id_subset_and_parallel_jobs():
