@@ -6,6 +6,17 @@ marked positions), and invert by adding the statistic back.  Inputs are
 decreasing partitions; outputs are Overpartition values.  Every map validates
 its input and its own output, so a partition outside the intended domain
 fails loudly instead of producing garbage.
+
+Each forward map is a single pass from the smallest part upward.  The pass
+computes the statistic, shifts each part, builds the overlines directly and
+checks input and output with a few comparisons per part as it goes: a part
+must clear the least value the part below leaves it.  A failed comparison
+only clears a flag.  When the flag is down the map runs its diagnostic, the
+step-by-step checks in their original order (``_require_strict``, the
+forbidden-chain loop, ``_require_parity``), which raises the ValueError
+naming the first fault, so an invalid input gets the message it would get
+from a map that checked everything before computing.  The inverse maps
+check first and compute after.
 """
 
 from __future__ import annotations
@@ -15,14 +26,7 @@ from enum import Enum
 from functools import partial
 from typing import Callable
 
-from .partitions import (
-    Overpartition,
-    Partition,
-    conjugate,
-    partition,
-    pointwise_add,
-    t_of_binary,
-)
+from .partitions import Overpartition, Partition, conjugate, pointwise_add
 
 
 class HVariant(Enum):
@@ -60,17 +64,40 @@ def map_f(parts: Partition) -> Overpartition:
     """Subtract the change-count statistic of the parity deviation word.
 
     Read the parts in increasing order; position j should hold a part
-    congruent to j mod 2.  The deviation word feeds t_of_binary, the
-    statistic is subtracted pointwise, and its conjugate becomes the
-    overlined magnitudes.
+    congruent to j mod 2.  The statistic t starts at the first deviation bit
+    and steps up by one wherever the bit changes; it is subtracted pointwise,
+    and its conjugate becomes the overlined magnitudes: t first reaching v
+    at the part with j parts below it overlines k - j.
     """
+    k = len(parts)
+    mu: list[int] = []
+    over: list[int] = []
+    ok = True
+    need = low = 1  # least next input part, least next output part
+    t = 0
+    agree = 1  # 1 - deviation bit of the part below; bit 0 before any part
+    for j, p in enumerate(reversed(parts)):
+        if p < need:
+            ok = False
+        need = p + 1
+        if (p ^ j) & 1 != agree:
+            agree ^= 1
+            t += 1
+            over.append(k - j)
+        q = p - t
+        if q < low:
+            ok = False
+        low = q + 1
+        mu.append(q)
+    mu.reverse()
+    if not ok:
+        _diagnose_f(parts, mu)
+    return Overpartition(tuple(mu), tuple(over))
+
+
+def _diagnose_f(parts: Partition, mu: list[int]) -> None:
     _require_strict(parts, 1, "map f input")
-    inc = parts[::-1]
-    bits = tuple((p - (j + 1)) % 2 for j, p in enumerate(inc))
-    t = t_of_binary(bits)
-    mu = tuple(p - t[j] for j, p in enumerate(inc))[::-1]
     _require_strict(mu, 1, "map f output")
-    return Overpartition(mu, conjugate(partition(t)))
 
 
 def inverse_f(op: Overpartition) -> Partition:
@@ -97,26 +124,50 @@ def map_h(parts: Partition, variant: HVariant) -> Overpartition:
     ell_j counts the adjacent (odd, even) pairs for OE, (even, odd) for EO,
     at positions j and later.  Each part sheds 2*ell_j, then one more if its
     parity is still wrong; the shed amounts form a weakly decreasing sequence
-    whose conjugate is overlined.  Under EO the last entry can reach zero:
-    the empty slot is dropped and its existence is signalled by the largest
-    overline exceeding the remaining length by one.
+    whose conjugate is overlined: a shed amount first reaching v at the
+    part with j parts below it overlines k - j.  Under EO the last entry can
+    reach zero: the empty slot is dropped and its existence is signalled by
+    the largest overline exceeding the remaining length by one.
     """
-    _require_strict(parts, 2, "map h input")
     k = len(parts)
-    lead = 1 if variant is HVariant.OE else 0
-    target = lead
-    marks = [
-        1 if parts[i] % 2 == lead and parts[i + 1] % 2 != lead else 0
-        for i in range(k - 1)
-    ]
-    ell = [0] * k
-    for j in range(k - 2, -1, -1):
-        ell[j] = ell[j + 1] + marks[j]
-    pi = []
-    for j, p in enumerate(parts):
-        q = p - 2 * ell[j]
-        q -= (q - target) % 2
+    oe = variant is HVariant.OE
+    target = 1 if oe else 0
+    pi: list[int] = []
+    over: list[int] = []
+    ok = True
+    need = 1  # least next input part
+    low = 1 if oe else 0  # least next output part; EO may empty the bottom slot
+    ell = shed = 0
+    wrong_below = 0  # 1: the part below is off the target parity
+    for j, p in enumerate(reversed(parts)):
+        if p < need:
+            ok = False
+        need = p + 2
+        wrong = (p & 1) ^ target
+        if wrong_below and not wrong:
+            ell += 1
+        wrong_below = wrong
+        v = 2 * ell + wrong
+        if v > shed:
+            over += [k - j] * (v - shed)
+        elif v < shed:
+            ok = False
+        shed = v
+        q = p - v
+        if q < low or q & 1 != target:
+            ok = False
+        low = q + 2
         pi.append(q)
+    pi.reverse()
+    if not ok:
+        _diagnose_h(parts, pi, variant)
+    if pi and pi[-1] == 0:
+        pi.pop()
+    return Overpartition(tuple(pi), tuple(over))
+
+
+def _diagnose_h(parts: Partition, pi: list[int], variant: HVariant) -> None:
+    _require_strict(parts, 2, "map h input")
     vstar = [p - q for p, q in zip(parts, pi)]
     for i in range(1, len(vstar)):
         if vstar[i] > vstar[i - 1]:
@@ -124,10 +175,9 @@ def map_h(parts: Partition, variant: HVariant) -> Overpartition:
     if pi and pi[-1] == 0:
         if variant is HVariant.OE:
             raise ValueError("map h produced an empty slot outside the EO variant")
-        pi.pop()
+        pi = pi[:-1]
     _require_strict(pi, 2, "map h output")
-    _require_parity(pi, target, "map h output")
-    return Overpartition(tuple(pi), conjugate(partition(vstar)))
+    _require_parity(pi, 1 if variant is HVariant.OE else 0, "map h output")
 
 
 def inverse_h(op: Overpartition, variant: HVariant) -> Partition:
@@ -157,6 +207,41 @@ def map_g(parts: Partition, variant: GVariant) -> Overpartition:
     to zero, in which case the slot is dropped and the largest overline
     equals twice the remaining length plus one.
     """
+    k = len(parts)
+    lg = variant is GVariant.LG
+    marked = 1 if lg else 0
+    tau: list[int] = []
+    over: list[int] = []
+    ok = True
+    # least next input part: two above the part below, three above a flagged
+    # one, since a flagged part two below would close a forbidden chain
+    need = 1
+    low = 0 if lg else 1  # least next output part; LG may empty the bottom slot
+    flagged = 0
+    for j, p in enumerate(reversed(parts)):
+        if p < need:
+            ok = False
+        if p & 1 == marked:
+            q = p - 1 - 2 * flagged
+            flagged += 1
+            over.append(2 * (k - j) - 1)
+            need = p + 3
+        else:
+            q = p - 2 * flagged
+            need = p + 2
+        if q < low or q & 1 == marked:
+            ok = False
+        low = q + 2
+        tau.append(q)
+    tau.reverse()
+    if not ok:
+        _diagnose_g(parts, tau, variant)
+    if tau and tau[-1] == 0:
+        tau.pop()
+    return Overpartition(tuple(tau), tuple(over))
+
+
+def _diagnose_g(parts: Partition, tau: list[int], variant: GVariant) -> None:
     _require_strict(parts, 2, "map g input")
     marked = 0 if variant is GVariant.GG else 1
     for i in range(len(parts) - 1):
@@ -164,20 +249,12 @@ def map_g(parts: Partition, variant: GVariant) -> Overpartition:
             raise ValueError(
                 f"map g input: parts {parts[i]}, {parts[i + 1]} form a forbidden chain"
             )
-    k = len(parts)
-    T = [1 if p % 2 == marked else 0 for p in parts]
-    suffix = [0] * (k + 1)
-    for j in range(k - 1, -1, -1):
-        suffix[j] = suffix[j + 1] + T[j]
-    tau = [parts[j] - T[j] - 2 * suffix[j + 1] for j in range(k)]
-    over = tuple(2 * (j + 1) - 1 for j in range(k - 1, -1, -1) if T[j])
     if tau and tau[-1] == 0:
         if variant is GVariant.GG:
             raise ValueError("map g produced an empty slot outside the LG variant")
-        tau.pop()
+        tau = tau[:-1]
     _require_strict(tau, 2, "map g output")
     _require_parity(tau, 1 - marked, "map g output")
-    return Overpartition(tuple(tau), over)
 
 
 def inverse_g(op: Overpartition, variant: GVariant) -> Partition:

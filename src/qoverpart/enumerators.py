@@ -16,6 +16,18 @@ overpartition class walks its base once and attaches the overline sets.
 The almost-self-conjugate partitions are the class ``d`` walk at half the
 weight, read as the top rows of their Frobenius symbols.
 
+Each class builds its walk steps once, lazily on its first walk
+(``_compile_walk``): the residue filter is the only check made per candidate
+part, the allowed smallest parts are the close check, the least drop to the
+next part is the gap (at least 3 below a part of a forbidden consecutive
+parity) or the SLATER121_PATTERN alternation, and under a parity rule the
+candidates step down by two from the highest one of the right parity.  At a
+single weight n the walk places a part only if the prefix plus the heaviest
+tail under its next bound can still reach n; when that bound is the part's
+own drop, no smaller part at that level can either, and the level ends.
+These steps are the walk's own code: ``matches_partition``, the count tables
+and the test oracles read the class fields each in their own way.
+
 Counting does not walk: ``count_sequence`` fills a table by part size,
 keeping the last few layers of dense rows by weight and number of parts, up to
 the count where no overline cap binds, and folds in the overline sets by
@@ -32,6 +44,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import accumulate
 from operator import add
 from typing import Iterator
@@ -50,7 +63,6 @@ class Parity(Enum):
 
 
 # a Parity member lookup costs 148 ns, a module name 14 (CPython 3.11)
-_ANY = Parity.ANY
 _ODD = Parity.ALL_ODD
 _EVEN = Parity.ALL_EVEN
 _ALTERNATING = Parity.ALTERNATING_FROM_ODD_SMALLEST
@@ -78,6 +90,10 @@ class PartitionClass:
             raise ValueError(f"a forbidden consecutive pair needs min_gap >= 2, got {self.min_gap}")
         if self.residue_filter is not None and self.residue_filter[0] < 1:
             raise ValueError(f"a residue modulus must be at least 1, got {self.residue_filter[0]}")
+
+    @cached_property
+    def _walk_steps(self) -> tuple:
+        return _compile_walk(self)
 
 
 @dataclass(frozen=True)
@@ -185,73 +201,100 @@ def matches_overpartition(cls: OverpartitionClass, op: Overpartition) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _part_ok(cls: PartitionClass, p: int, chosen: list[int]) -> bool:
-    parity = cls.parity
-    if parity is not _ANY:
-        if parity is _ODD:
-            if p % 2 == 0:
-                return False
-        elif parity is _EVEN:
-            if p % 2 == 1:
-                return False
-        elif parity is _ALTERNATING:
-            # "j-th part from below is j mod 2" is "neighbours alternate in
-            # parity and the smallest part is odd"; _close_ok checks the
-            # smallest part
-            if chosen and (chosen[-1] - p) % 2 == 0:
-                return False
+def _compile_walk(cls: PartitionClass) -> tuple:
+    """The prefix walk's own steps for one class, built once on its first walk.
+
+    - ``part_ok(p)``: the residue filter, or None when the class has none.
+    - ``close_ok(p)``: whether a prefix ending in ``p`` is a member (an
+      allowed smallest part, an odd smallest part under the alternating
+      pattern), or None when every prefix is one.
+    - ``drops``: the least drop from a part to the next, indexed by the
+      parity of the part (a gap of at least 3 below a part of a forbidden
+      consecutive parity) or, when ``by_position``, of its 1-based position
+      (SLATER121_PATTERN without a gap: strict after odd positions, weak
+      after even ones).
+    - ``parity``: the parity every part must have (ALL_ODD, ALL_EVEN), and
+      ``alternate``: each part has the other parity than the one above it
+      (ALTERNATING_FROM_ODD_SMALLEST: "the j-th part from below is j mod 2"
+      is "neighbours alternate in parity and the smallest part is odd").
+      Either way the candidates below a part step down by two from the
+      highest one of the right parity.
+    """
+    part_ok = None
     if cls.residue_filter is not None:
-        modulus, allowed = cls.residue_filter
-        if p % modulus not in allowed:
-            return False
-    if cls.forbid_consecutive_evens and p % 2 == 0 and p + 2 in chosen:
-        return False
-    if cls.forbid_consecutive_odds and p % 2 == 1 and p + 2 in chosen:
-        return False
-    return True
-
-
-def _close_ok(cls: PartitionClass, chosen: list[int]) -> bool:
-    if cls.smallest_part_in is not None:
-        if not chosen or chosen[-1] not in cls.smallest_part_in:
-            return False
-    if chosen and chosen[-1] % 2 == 0 and cls.parity is _ALTERNATING:
-        return False
-    return True
-
-
-def _next_bound(cls: PartitionClass, p: int, position: int) -> int:
-    if cls.parity is _SLATER:
-        # position is the 1-based index of p; descent is strict after odd
-        # positions and weak after even ones, and never less than the gap
-        return p - max(cls.min_gap, position % 2)
-    return p - cls.min_gap
+        modulus, residues = cls.residue_filter
+        part_ok = lambda p: p % modulus in residues
+    alternate = cls.parity is _ALTERNATING
+    allowed = cls.smallest_part_in
+    if allowed is None:
+        close_ok = (lambda p: p & 1 == 1) if alternate else None
+    else:
+        close_ok = (lambda p: p & 1 == 1 and p in allowed) if alternate else allowed.__contains__
+    gap = cls.min_gap
+    if cls.parity is _SLATER and gap == 0:
+        drops, by_position = (0, 1), True
+    else:
+        # a forbidden pair needs a gap >= 2, so p + 2 could only be the part
+        # just above p: below a part of the forbidden parity, drop at least 3
+        forbidden = (cls.forbid_consecutive_evens, cls.forbid_consecutive_odds)
+        drops, by_position = tuple(max(gap, 3) if f else gap for f in forbidden), False
+    parity = 1 if cls.parity is _ODD else 0 if cls.parity is _EVEN else None
+    return part_ok, close_ok, drops, by_position, parity, alternate
 
 
 def _descend(cls: PartitionClass, bound: int, low: int = 0) -> Iterator[tuple[int, Partition]]:
     # parts are placed largest first; stack[i] is the next part to try after
     # the first i parts, so the walk needs no recursion and no second frame.
     # Only members of weight low..bound are built.
+    part_ok, close_ok, drops, by_position, parity, alternate = cls._walk_steps
+    min_part = cls.min_part
+    # a part that leaves its prefix short of low is not placed when even the
+    # heaviest tail under the next bound b, b + (b - gap) + ... down to
+    # min_part, cannot make up the rest (no pruning without a gap)
+    gap = cls.min_gap if low else 0
+    stride = 1 if parity is None and not alternate else 2
+    top_stride = 1 if alternate else stride
     chosen: list[int] = []
     weight = 0
-    if low == 0 and _close_ok(cls, chosen):
+    if low == 0 and cls.smallest_part_in is None:
         yield 0, ()
-    stack = [bound]
+    stack = [bound if parity is None else bound - ((bound ^ parity) & 1)]
     while stack:
         p = stack[-1]
-        while p >= cls.min_part and not _part_ok(cls, p, chosen):
-            p -= 1
-        if p < cls.min_part:
+        step = stride if chosen else top_stride
+        if part_ok is not None:
+            while p >= min_part and not part_ok(p):
+                p -= step
+        if p < min_part:
             stack.pop()
             if chosen:
                 weight -= chosen.pop()
             continue
-        stack[-1] = p - 1
+        stack[-1] = p - step
+        placed = weight + p
+        top = p - drops[(len(chosen) + 1 if by_position else p) & 1]
+        b = bound - placed
+        if top < b:
+            b = top
+        if parity is not None:
+            b -= (b ^ parity) & 1
+        elif alternate:
+            b -= (b ^ p ^ 1) & 1
+        if gap and placed < low:
+            m = (b - min_part) // gap + 1 if b >= min_part else 0
+            if placed + m * b - gap * m * (m - 1) // 2 < low:
+                if top <= bound - placed:
+                    # b is p's own drop, so every smaller p falls short too
+                    stack[-1] = 0
+                continue
         chosen.append(p)
-        weight += p
-        if weight >= low and _close_ok(cls, chosen):
-            yield weight, tuple(chosen)
-        stack.append(min(_next_bound(cls, p, len(chosen)), bound - weight))
+        if placed >= low and (close_ok is None or close_ok(p)):
+            yield placed, tuple(chosen)
+        if b >= min_part:
+            weight = placed
+            stack.append(b)
+        else:  # no part fits below p
+            chosen.pop()
 
 
 def iter_partitions_upto(bound: int, cls: PartitionClass) -> Iterator[tuple[int, Partition]]:

@@ -8,12 +8,14 @@ compared against.
 
 from __future__ import annotations
 
+from qoverpart.bijections import GVariant, HVariant
 from qoverpart.enumerators import (
     OverpartitionClass,
     PartitionClass,
     Parity,
     _admissible,
 )
+from qoverpart.partitions import Overpartition, conjugate, partition, t_of_binary
 
 
 def partitions_of(n, max_part=None):
@@ -343,3 +345,100 @@ def _overpartition_counts(cls: OverpartitionClass, top: int) -> list[int]:
                 for w in range(top - m + 1):
                     counts[m + w] += b * overlines[w]
     return counts
+
+
+# -- the forward maps, step by step -------------------------------------------
+# The reference for the single-pass maps in ``qoverpart.bijections``: the
+# package's earlier forward maps, kept unchanged.  Each checks its whole
+# input, then computes the statistic in its own pass, sorts and conjugates
+# it into the overlines, and checks its whole output, so the first fault it
+# names is the one the single-pass maps must name too.
+
+
+def _require_strict(seq, gap, what):
+    for i, p in enumerate(seq):
+        if p < 1:
+            raise ValueError(f"{what}: entry {p} at position {i} is not positive")
+        if i and seq[i - 1] - p < gap:
+            raise ValueError(
+                f"{what}: entries {seq[i - 1]}, {p} violate the minimum gap {gap}"
+            )
+
+
+def _require_parity(seq, parity, what):
+    for p in seq:
+        if p % 2 != parity:
+            raise ValueError(f"{what}: entry {p} has the wrong parity")
+
+
+def map_f(parts):
+    _require_strict(parts, 1, "map f input")
+    inc = parts[::-1]
+    bits = tuple((p - (j + 1)) % 2 for j, p in enumerate(inc))
+    t = t_of_binary(bits)
+    mu = tuple(p - t[j] for j, p in enumerate(inc))[::-1]
+    _require_strict(mu, 1, "map f output")
+    return Overpartition(mu, conjugate(partition(t)))
+
+
+def map_h(parts, variant):
+    _require_strict(parts, 2, "map h input")
+    k = len(parts)
+    lead = 1 if variant is HVariant.OE else 0
+    target = lead
+    marks = [
+        1 if parts[i] % 2 == lead and parts[i + 1] % 2 != lead else 0
+        for i in range(k - 1)
+    ]
+    ell = [0] * k
+    for j in range(k - 2, -1, -1):
+        ell[j] = ell[j + 1] + marks[j]
+    pi = []
+    for j, p in enumerate(parts):
+        q = p - 2 * ell[j]
+        q -= (q - target) % 2
+        pi.append(q)
+    vstar = [p - q for p, q in zip(parts, pi)]
+    for i in range(1, len(vstar)):
+        if vstar[i] > vstar[i - 1]:
+            raise ValueError("map h shed amounts are not weakly decreasing")
+    if pi and pi[-1] == 0:
+        if variant is HVariant.OE:
+            raise ValueError("map h produced an empty slot outside the EO variant")
+        pi.pop()
+    _require_strict(pi, 2, "map h output")
+    _require_parity(pi, target, "map h output")
+    return Overpartition(tuple(pi), conjugate(partition(vstar)))
+
+
+def map_g(parts, variant):
+    _require_strict(parts, 2, "map g input")
+    marked = 0 if variant is GVariant.GG else 1
+    for i in range(len(parts) - 1):
+        if parts[i] % 2 == marked and parts[i] - parts[i + 1] == 2:
+            raise ValueError(
+                f"map g input: parts {parts[i]}, {parts[i + 1]} form a forbidden chain"
+            )
+    k = len(parts)
+    T = [1 if p % 2 == marked else 0 for p in parts]
+    suffix = [0] * (k + 1)
+    for j in range(k - 1, -1, -1):
+        suffix[j] = suffix[j + 1] + T[j]
+    tau = [parts[j] - T[j] - 2 * suffix[j + 1] for j in range(k)]
+    over = tuple(2 * (j + 1) - 1 for j in range(k - 1, -1, -1) if T[j])
+    if tau and tau[-1] == 0:
+        if variant is GVariant.GG:
+            raise ValueError("map g produced an empty slot outside the LG variant")
+        tau.pop()
+    _require_strict(tau, 2, "map g output")
+    _require_parity(tau, 1 - marked, "map g output")
+    return Overpartition(tuple(tau), over)
+
+
+FORWARD_MAPS = {
+    "f": map_f,
+    "h-oe": lambda parts: map_h(parts, HVariant.OE),
+    "h-eo": lambda parts: map_h(parts, HVariant.EO),
+    "g-gg": lambda parts: map_g(parts, GVariant.GG),
+    "g-lg": lambda parts: map_g(parts, GVariant.LG),
+}

@@ -1,7 +1,9 @@
 import pytest
 
+import oracles
 from qoverpart.bijections import get_map, map_f, registered_map_ids
-from qoverpart.enumerators import enumerate_class, matches
+from qoverpart.enumerators import enumerate_class, matches, partitions_upto
+from qoverpart.harness import TRANSPORT_BOUND
 from qoverpart.partitions import (
     format_overpartition,
     parse_overpartition,
@@ -129,6 +131,54 @@ def test_inverse_then_forward_is_the_identity_on_the_image(map_id):
     for n in range(15):
         for img in enumerate_class(spec.target, n):
             assert spec.forward(spec.inverse(img)) == img
+
+
+# -- the single-pass maps against the step-by-step reference ---------------------
+
+BAD_INPUTS = [
+    (2, 2),  # a repeated part
+    (3, 0),  # a zero part
+    (4, 1, 0),
+    (-1,),
+    (1, 3),  # increasing
+    (3, 2),  # gap violations under a gap of 2
+    (9, 7, 6, 1),
+    (6, 4, 1),  # a forbidden even chain
+    (7, 5, 2),  # a forbidden odd chain
+    (12, 9, 6, 4),
+    (9, 8, 4, 2),  # a gap violation above an even chain
+    (10, 9, 5, 3),  # a gap violation above an odd chain
+    (8, 6, 3, 2),  # an even chain above a gap violation
+    (7, 5, 2, 1),  # an odd chain above a gap violation
+    (6, 4, 2),
+    (1,),
+    (2,),
+]
+
+
+def outcome(forward, parts):
+    try:
+        return forward(parts)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@pytest.mark.parametrize("map_id,source,target", MAP_CLASS_PAIRS)
+def test_map_equals_the_step_by_step_reference_on_its_source(map_id, source, target):
+    forward, reference = get_map(map_id).forward, oracles.FORWARD_MAPS[map_id]
+    for _, parts in partitions_upto(source, TRANSPORT_BOUND):
+        assert forward(parts) == reference(parts), parts
+
+
+@pytest.mark.parametrize("map_id", ["f", "h-oe", "h-eo", "g-gg", "g-lg"])
+def test_map_refuses_bad_inputs_with_the_reference_message(map_id):
+    forward, reference = get_map(map_id).forward, oracles.FORWARD_MAPS[map_id]
+    refused = 0
+    for parts in BAD_INPUTS:
+        expected = outcome(reference, parts)
+        assert outcome(forward, parts) == expected, parts
+        refused += isinstance(expected, str)
+    assert refused >= 5
 
 
 # -- validation -------------------------------------------------------------------

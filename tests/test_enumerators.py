@@ -338,6 +338,21 @@ def test_table_walk_and_predicate_agree_on_random_classes(cls, parts_cap):
     )
 
 
+# the single-weight walk prunes prefixes that cannot reach n, so it is checked
+# on its own, at a bound where a gap of 3 and a least part of 4 both prune
+SINGLE_WEIGHT_LIMIT = 20
+
+
+@settings(max_examples=100, deadline=None)
+@given(partition_classes())
+def test_single_weight_walk_matches_the_predicate_on_random_classes(cls):
+    pool = partitions_up_to(SINGLE_WEIGHT_LIMIT)
+    for n in range(SINGLE_WEIGHT_LIMIT + 1):
+        walked = list(iter_partitions(n, cls))
+        expected = [p for p in pool[n] if matches_partition(cls, p)]
+        assert sorted(walked) == sorted(expected), n
+
+
 @st.composite
 def overline_rules(draw):
     low = draw(st.integers(1, 4))
@@ -453,6 +468,16 @@ def test_partition_enumeration_matches_filtered_oracle(class_id):
         assert sorted(members) == sorted(expected)
         assert count_class(class_id, n) == len(members)
         assert all(weight(m) == n for m in members)
+
+
+@pytest.mark.parametrize("class_id", partition_class_ids())
+def test_partitions_upto_matches_the_filtered_oracle_with_weights(class_id):
+    cls = PARTITION_CLASSES[class_id]
+    pool = partitions_up_to(DOUBLE_ENTRY_LIMIT)
+    expected = [
+        (n, p) for n in range(DOUBLE_ENTRY_LIMIT + 1) for p in pool[n] if matches_partition(cls, p)
+    ]
+    assert sorted(partitions_upto(class_id, DOUBLE_ENTRY_LIMIT)) == sorted(expected)
 
 
 def test_overpartition_enumeration_matches_filtered_oracle():
