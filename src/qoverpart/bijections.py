@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from typing import Callable
 
 from .partitions import Overpartition, Partition, conjugate, pointwise_add
@@ -288,6 +287,42 @@ def inverse_g(op: Overpartition, variant: GVariant) -> Partition:
 # ---------------------------------------------------------------------------
 
 
+# each variant is bound by a module-level function, which pickles by name,
+# rather than by a keyword partial, which builds a keyword dict on every call
+
+
+def map_h_oe(parts: Partition) -> Overpartition:
+    return map_h(parts, HVariant.OE)
+
+
+def inverse_h_oe(op: Overpartition) -> Partition:
+    return inverse_h(op, HVariant.OE)
+
+
+def map_h_eo(parts: Partition) -> Overpartition:
+    return map_h(parts, HVariant.EO)
+
+
+def inverse_h_eo(op: Overpartition) -> Partition:
+    return inverse_h(op, HVariant.EO)
+
+
+def map_g_gg(parts: Partition) -> Overpartition:
+    return map_g(parts, GVariant.GG)
+
+
+def inverse_g_gg(op: Overpartition) -> Partition:
+    return inverse_g(op, GVariant.GG)
+
+
+def map_g_lg(parts: Partition) -> Overpartition:
+    return map_g(parts, GVariant.LG)
+
+
+def inverse_g_lg(op: Overpartition) -> Partition:
+    return inverse_g(op, GVariant.LG)
+
+
 @dataclass(frozen=True)
 class BijectionSpec:
     forward: Callable[[Partition], Overpartition]
@@ -298,30 +333,10 @@ class BijectionSpec:
 
 MAPS: dict[str, BijectionSpec] = {
     "f": BijectionSpec(map_f, inverse_f, "d", "e-over"),
-    "h-oe": BijectionSpec(
-        partial(map_h, variant=HVariant.OE),
-        partial(inverse_h, variant=HVariant.OE),
-        "rr1",
-        "rr1-over",
-    ),
-    "h-eo": BijectionSpec(
-        partial(map_h, variant=HVariant.EO),
-        partial(inverse_h, variant=HVariant.EO),
-        "rr1",
-        "rr1star-over",
-    ),
-    "g-gg": BijectionSpec(
-        partial(map_g, variant=GVariant.GG),
-        partial(inverse_g, variant=GVariant.GG),
-        "gg1",
-        "gg1-over",
-    ),
-    "g-lg": BijectionSpec(
-        partial(map_g, variant=GVariant.LG),
-        partial(inverse_g, variant=GVariant.LG),
-        "lg1",
-        "lg1-over",
-    ),
+    "h-oe": BijectionSpec(map_h_oe, inverse_h_oe, "rr1", "rr1-over"),
+    "h-eo": BijectionSpec(map_h_eo, inverse_h_eo, "rr1", "rr1star-over"),
+    "g-gg": BijectionSpec(map_g_gg, inverse_g_gg, "gg1", "gg1-over"),
+    "g-lg": BijectionSpec(map_g_lg, inverse_g_lg, "lg1", "lg1-over"),
 }
 
 

@@ -185,8 +185,7 @@ def _cmd_coeff(args) -> int:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["n"] + labels)
-        for n in range(args.max_n + 1):
-            writer.writerow([n] + [col[n] for col in columns])
+        writer.writerows(zip(range(args.max_n + 1), *columns))
         text = buf.getvalue()
     else:
         header = ["n"] + labels

@@ -11,18 +11,23 @@ Product sides and sum terms alike are q^a times families of binomials
 (1 - sign*q^e)^(+-1), and both split through one decomposition: a monomial
 q^m, an integer, and a power series with a unit constant term (each
 negative-exponent factor is -sign*q^e times (1 - sign*q^-e)).  That series
-expands on a dense coefficient list of q^m .. q^order with two in-place
-kernels, multiply and divide by one binomial, each one C-level pass, so
-every coefficient through the order is exact however far a negative shift
-pulls a term back.  A sum side is built from one running term: stepping
-term n-1 to term n applies only the binomials whose net power changed.
+is expanded Kronecker-packed: its coefficients of q^m .. q^order are the
+w-bit slots of one Python int, X = sum c_i * 2^(i*w), so multiplying by a
+binomial is one shift, one add and one mask, and dividing by one is a few
+such doublings.  Evaluation at q = 2^w modulo 2^((top+1)*w) is a ring
+homomorphism from Z[q]/(q^(top+1)), so intermediate slots may wrap freely;
+only the final coefficients must fit a signed slot, and the slot width comes
+from a proven coefficient bound (``_slot_width``).  Every coefficient through
+the order is exact however far a negative shift pulls a term back.  A sum
+side is built from one running term: stepping term n-1 to term n applies
+only the binomials whose net power changed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import accumulate, count, repeat
-from operator import add, mul, sub
+from itertools import count
 from typing import Callable, Iterable
 
 INFINITE = float("inf")
@@ -56,7 +61,7 @@ class LaurentSeries:
     def __init__(self, offset: int, coeffs: Iterable[int], order: int):
         parts = list(coeffs)
         if offset + len(parts) - 1 > order:
-            parts = parts[: order - offset + 1]
+            parts = parts[: max(order - offset + 1, 0)]
         while parts and parts[0] == 0:
             del parts[0]
             offset += 1
@@ -226,36 +231,6 @@ class ProductFactor:
     length: int | float = INFINITE
 
 
-def multiply_binomial(c: list[int], sign: int, e: int) -> None:
-    """c <- c * (1 - sign*q^e) in place, kept to len(c) coefficients; e >= 1."""
-    if e < len(c):
-        c[e:] = map(sub if sign == 1 else add, c[e:], c[:-e])
-
-
-def divide_binomial(c: list[int], sign: int, e: int) -> None:
-    """c <- c / (1 - sign*q^e) in place, kept to len(c) coefficients; e >= 1.
-
-    Each coefficient gains sign times the one e places below it, already
-    divided.  Short steps run a prefix sum over each residue class mod e; long
-    steps add whole blocks of e coefficients, so either way the Python-level
-    loop has at most about sqrt(len(c)) rounds.
-    """
-    n = len(c)
-    if e >= n:
-        return
-    if e * e >= n:
-        op = add if sign == 1 else sub
-        for k in range(e, n, e):
-            c[k:k + e] = map(op, c[k:k + e], c[k - e:k])
-    elif sign == 1:
-        for r in range(e):
-            c[r::e] = accumulate(c[r::e])
-    else:
-        # 1/(1 + q^e) = (1 - q^e) / (1 - q^2e)
-        multiply_binomial(c, 1, e)
-        divide_binomial(c, 1, 2 * e)
-
-
 def _family_exponents(f: ProductFactor) -> Iterable[int]:
     """The increasing exponents shift + j*step of one checked factor family."""
     if f.sign not in (1, -1):
@@ -313,12 +288,88 @@ def _net_binomials(
     return m, coef, powers
 
 
-def _apply_net_powers(c: list[int], powers: dict[tuple[int, int], int]) -> None:
-    """c <- c * prod (1 - sign*q^e)^p in place over the (sign, e): p entries."""
+def _slot_width(magnitude: int, powers: dict[tuple[int, int], int], top: int) -> int:
+    """Bits per slot, a multiple of 8, that hold every final coefficient signed.
+
+    It bounds y * prod (1 - sign*q^e)^p over the ``powers`` entries, cut at
+    q^top, for any y with sum |y_i| <= ``magnitude``; and so also a sum of
+    such products whose sums |y_i| add up to at most ``magnitude`` and whose
+    |p| at each binomial are at most those given.
+
+    Proof.  Coefficientwise, |1 - sign*q^e| <= 1 + q^e <= F_e and
+    |1/(1 - sign*q^e)| <= F_e, where F_e = 1/(1 - q^e) has nonnegative
+    coefficients and constant term 1.  So the product is majorized by
+    G = prod_e F_e^K_e, K_e the sum over both signs of |p| at e, and a
+    larger K_e only enlarges G.  Each coefficient through q^top is then at
+    most magnitude times the largest [q^n] G, n <= top.  Cauchy's bound
+    [q^n] G <= G(r) / r^n, 0 < r < 1, with r = e^-t gives
+    exp(t*top - sum_e K_e * log(1 - e^(-t*e))) for every n <= top and any
+    t > 0; t = pi*sqrt(K/(6*top)), K the largest K_e, is near the saddle
+    point of 1/(q;q)^K.  A slot then needs magnitude.bit_length() plus the
+    bound's log2, rounded up, plus 2 bits of margin for the floating-point
+    sum and 1 sign bit.
+    """
+    reach: dict[int, int] = {}
+    for (_, e), p in powers.items():
+        if p:
+            reach[e] = reach.get(e, 0) + abs(p)
+    log_bound = 0.0
+    if reach:
+        t = math.pi * math.sqrt(max(reach.values()) / (6 * top))
+        log_bound = t * top - sum(k * math.log(-math.expm1(-t * e)) for e, k in reach.items())
+    bits = magnitude.bit_length() + math.ceil(log_bound / math.log(2)) + 3
+    return -(-bits // 8) * 8
+
+
+def _pack(coeffs: tuple[int, ...], w: int) -> int:
+    """sum coeffs[i] * 2^(i*w), by Horner's rule; slots may be negative."""
+    x = 0
+    for c in reversed(coeffs):
+        x = (x << w) + c
+    return x
+
+
+def _unpack(x: int, w: int, slots: int) -> list[int]:
+    """The signed w-bit slots 0 .. slots-1 of x taken modulo 2^(slots*w).
+
+    Adding 2^(w-1) to every slot makes each one nonnegative, so no slot
+    borrows from the next; flipping the same top bits back leaves each
+    slot in two's complement.
+    """
+    size = w // 8
+    bias = int.from_bytes((1 << (w - 1)).to_bytes(size, "little") * slots, "little")
+    data = (((x + bias) & ((1 << slots * w) - 1)) ^ bias).to_bytes(slots * size, "little")
+    return [int.from_bytes(data[i:i + size], "little", signed=True)
+            for i in range(0, slots * size, size)]
+
+
+def _apply_binomials(
+    x: int, powers: dict[tuple[int, int], int], top: int, w: int
+) -> int:
+    """x * prod (1 - sign*q^e)^p mod q^(top+1), on packed slots of w bits.
+
+    1/(1 - q^e) is (1 + q^e)(1 + q^2e)(1 + q^4e)... up to the top slot, and
+    1/(1 + q^e) is (1 - q^e) / (1 - q^2e).
+    """
+    mask = (1 << (top + 1) * w) - 1
+    x &= mask
+    limit = top * w
     for (sign, e), p in powers.items():
-        kernel = multiply_binomial if p > 0 else divide_binomial
+        shift = e * w
+        if shift > limit:
+            continue
         for _ in range(abs(p)):
-            kernel(c, sign, e)
+            if p > 0:
+                x = (x - (x << shift) if sign == 1 else x + (x << shift)) & mask
+            else:
+                step = shift
+                if sign == -1:
+                    x = (x - (x << shift)) & mask
+                    step *= 2
+                while step <= limit:
+                    x = (x + (x << step)) & mask
+                    step <<= 1
+    return x
 
 
 def apply_inverse_factors(
@@ -334,10 +385,12 @@ def apply_inverse_factors(
     """
     order = series.order
     m, coef, powers = _net_binomials(factors, series.offset, order)
-    c = list(series.coeffs)
-    c.extend(repeat(0, order - m + 1 - len(c)))
-    _apply_net_powers(c, powers)
-    return LaurentSeries(m, c if coef == 1 else map(mul, c, repeat(coef)), order)
+    top = order - m
+    if top < 0:
+        return zero(order)
+    w = _slot_width(abs(coef) * sum(map(abs, series.coeffs)), powers, top)
+    x = _apply_binomials(_pack(series.coeffs, w), powers, top, w)
+    return LaurentSeries(m, _unpack(coef * x, w, top + 1), order)
 
 
 def pochhammer(f: ProductFactor, order: int) -> LaurentSeries:
@@ -400,17 +453,19 @@ def sum_term_family(
 
     The terms share one running body: term n is coef * q^m * body, split by
     ``_net_binomials``.  Stepping the body from term n-1 to term n
-    multiplies or divides it in place by just the binomials whose net power
-    changed, each one pass, and it is kept to q^(order - m).
+    multiplies or divides it by just the binomials whose net power changed,
+    and it is kept to q^(order - m).
 
     Summation stops at the first term whose lowest exponent m exceeds the
     order.  That exponent must not decrease from one term to the next, nor
-    stay put for more than ``STALL_GUARD`` terms.
+    stay put for more than ``STALL_GUARD`` terms.  Every term is split
+    before any is expanded, so the slot width can bound the whole sum:
+    |constant| + |scale| * sum |coef| times the bound for the largest |power|
+    each binomial reaches.
     """
-    body: list[int] = []
+    steps: list[tuple[int, int, dict[tuple[int, int], int]]] = []
     held: dict[tuple[int, int], int] = {}
-    total: list[int] | None = None
-    lo = 0
+    reach: dict[tuple[int, int], int] = {}
     last_min: int | None = None
     stall = 0
     n = start
@@ -420,23 +475,24 @@ def sum_term_family(
             break
         stall = _guard_step(last_min, m, stall, STALL_GUARD)
         last_min = m
-        if total is None:
-            lo = min(m, 0)
-            total = [0] * (order - lo + 1)
-            body = [1] + [0] * (order - m)
-        del body[order - m + 1:]
-        _apply_net_powers(body, {
-            key: powers.get(key, 0) - held.get(key, 0)
-            for key in held.keys() | powers.keys()
-        })
+        changed = {}
+        for key, _ in held.items() ^ powers.items():
+            p = powers.get(key, 0)
+            changed[key] = p - held.get(key, 0)
+            reach[key] = max(reach.get(key, 0), abs(p))
+        steps.append((m, coef, changed))
         held = powers
-        if coef:
-            term = body if coef == 1 else map(mul, body, repeat(coef))
-            total[m - lo:] = map(add, total[m - lo:], term)
         n += 1
-    if total is None:
-        total = [0] * (order + 1)
-    if scale != 1:
-        total[:] = map(mul, total, repeat(scale))
-    total[-lo] += constant
-    return LaurentSeries(lo, total, order)
+    if not steps:
+        return LaurentSeries(0, [constant], order)
+    lo = min(steps[0][0], 0)
+    magnitude = abs(constant) + abs(scale) * sum(abs(coef) for _, coef, _ in steps)
+    w = _slot_width(magnitude, reach, order - steps[0][0])
+    body = 1
+    total = 0
+    for m, coef, changed in steps:
+        body = _apply_binomials(body, changed, order - m, w)
+        if coef:
+            total += coef * (body << (m - lo) * w)
+    total = scale * total + (constant << -lo * w)
+    return LaurentSeries(lo, _unpack(total, w, order - lo + 1), order)

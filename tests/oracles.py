@@ -8,6 +8,9 @@ compared against.
 
 from __future__ import annotations
 
+from itertools import accumulate, repeat
+from operator import add, mul, sub
+
 from qoverpart.bijections import GVariant, HVariant
 from qoverpart.enumerators import (
     OverpartitionClass,
@@ -16,6 +19,12 @@ from qoverpart.enumerators import (
     _admissible,
 )
 from qoverpart.partitions import Overpartition, conjugate, partition, t_of_binary
+from qoverpart.series import (
+    STALL_GUARD,
+    LaurentSeries,
+    _guard_step,
+    _net_binomials,
+)
 
 
 def partitions_of(n, max_part=None):
@@ -140,6 +149,97 @@ def product_prefix(factor_gen, limit):
 def neg_q_q_prefix(limit):
     """Coefficients of (-q;q)_infinity, the distinct-parts product."""
     return product_prefix(((1, e) for e in range(1, limit + 1)), limit)
+
+
+# -- list kernels --------------------------------------------------------------
+# The series expansion on a dense coefficient list, one Python-level pass per
+# binomial: the reference the packed kernels of ``qoverpart.series`` are
+# compared against.  It shares only the net-binomial decomposition and the
+# stall guard with the package.
+
+
+def multiply_binomial(c: list[int], sign: int, e: int) -> None:
+    """c <- c * (1 - sign*q^e) in place, kept to len(c) coefficients; e >= 1."""
+    if e < len(c):
+        c[e:] = map(sub if sign == 1 else add, c[e:], c[:-e])
+
+
+def divide_binomial(c: list[int], sign: int, e: int) -> None:
+    """c <- c / (1 - sign*q^e) in place, kept to len(c) coefficients; e >= 1.
+
+    Each coefficient gains sign times the one e places below it, already
+    divided.  Short steps run a prefix sum over each residue class mod e; long
+    steps add whole blocks of e coefficients.
+    """
+    n = len(c)
+    if e >= n:
+        return
+    if e * e >= n:
+        op = add if sign == 1 else sub
+        for k in range(e, n, e):
+            c[k:k + e] = map(op, c[k:k + e], c[k - e:k])
+    elif sign == 1:
+        for r in range(e):
+            c[r::e] = accumulate(c[r::e])
+    else:
+        # 1/(1 + q^e) = (1 - q^e) / (1 - q^2e)
+        multiply_binomial(c, 1, e)
+        divide_binomial(c, 1, 2 * e)
+
+
+def _apply_net_powers(c: list[int], powers: dict[tuple[int, int], int]) -> None:
+    """c <- c * prod (1 - sign*q^e)^p in place over the (sign, e): p entries."""
+    for (sign, e), p in powers.items():
+        kernel = multiply_binomial if p > 0 else divide_binomial
+        for _ in range(abs(p)):
+            kernel(c, sign, e)
+
+
+def list_apply_inverse_factors(series, factors):
+    """``series.apply_inverse_factors`` on a dense coefficient list."""
+    order = series.order
+    m, coef, powers = _net_binomials(factors, series.offset, order)
+    c = list(series.coeffs)
+    c.extend(repeat(0, order - m + 1 - len(c)))
+    _apply_net_powers(c, powers)
+    return LaurentSeries(m, c if coef == 1 else map(mul, c, repeat(coef)), order)
+
+
+def list_sum_term_family(exponent, factors, order, start=0, constant=0, scale=1):
+    """``series.sum_term_family`` with its running body on a dense list."""
+    body: list[int] = []
+    held: dict[tuple[int, int], int] = {}
+    total: list[int] | None = None
+    lo = 0
+    last_min = None
+    stall = 0
+    n = start
+    while True:
+        m, coef, powers = _net_binomials(factors(n), exponent(n), order)
+        if m > order:
+            break
+        stall = _guard_step(last_min, m, stall, STALL_GUARD)
+        last_min = m
+        if total is None:
+            lo = min(m, 0)
+            total = [0] * (order - lo + 1)
+            body = [1] + [0] * (order - m)
+        del body[order - m + 1:]
+        _apply_net_powers(body, {
+            key: powers.get(key, 0) - held.get(key, 0)
+            for key in held.keys() | powers.keys()
+        })
+        held = powers
+        if coef:
+            term = body if coef == 1 else map(mul, body, repeat(coef))
+            total[m - lo:] = map(add, total[m - lo:], term)
+        n += 1
+    if total is None:
+        total = [0] * (order + 1)
+    if scale != 1:
+        total[:] = map(mul, total, repeat(scale))
+    total[-lo] += constant
+    return LaurentSeries(lo, total, order)
 
 
 # -- Frobenius-symbol walks ---------------------------------------------------

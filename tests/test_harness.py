@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from qoverpart import harness
+from qoverpart import harness, series
 from qoverpart.bijections import get_map
 from qoverpart.enumerators import count_sequence, matches
 from qoverpart.harness import (
@@ -194,6 +194,42 @@ def test_series_sides_agree_at_every_truncation_order(identity_id):
         assert len(deep) == 261, side.label
         for k in range(221):
             assert side.values(k) == deep[:k + 1], (side.label, k)
+
+
+SERIES_SIDES = [s for r in builtin_identities() for s in r.sides if s.is_series]
+
+
+@pytest.fixture(scope="module")
+def list_reference_at_800():
+    """Every series side's values(800) from the list kernels of tests/oracles.py."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "apply_inverse_factors", oracles.list_apply_inverse_factors)
+        mp.setattr(harness, "sum_term_family", oracles.list_sum_term_family)
+        return [side.values(800) for side in SERIES_SIDES]
+
+
+def test_series_sides_at_800_match_the_list_reference(list_reference_at_800):
+    assert len(SERIES_SIDES) == 96
+    for side, expected in zip(SERIES_SIDES, list_reference_at_800):
+        assert side.values(800) == expected, side.label
+
+
+def test_slot_width_holds_every_series_side_at_800(monkeypatch, list_reference_at_800):
+    # the decoded slots always fit the width, so the width is held against
+    # the list reference's coefficients, which every side keeps in q^0..q^800
+    widths = []
+    unpack = series._unpack
+
+    def recording_unpack(x, w, slots):
+        widths.append(w)
+        return unpack(x, w, slots)
+
+    monkeypatch.setattr(series, "_unpack", recording_unpack)
+    for side, expected in zip(SERIES_SIDES, list_reference_at_800):
+        widths.clear()
+        side.values(800)
+        assert len(widths) == 1, side.label
+        assert widths[0] >= max(abs(c) for c in expected).bit_length() + 1, side.label
 
 
 def test_negative_exponent_surviving_summation_is_an_error():

@@ -10,9 +10,7 @@ from qoverpart.series import (
     MIN_OFFSET,
     ProductFactor,
     apply_inverse_factors,
-    divide_binomial,
     monomial,
-    multiply_binomial,
     one,
     pochhammer,
     sum_term_family,
@@ -20,7 +18,14 @@ from qoverpart.series import (
     zero,
 )
 
-from oracles import count_d, neg_q_q_prefix
+from oracles import (
+    count_d,
+    divide_binomial,
+    list_apply_inverse_factors,
+    list_sum_term_family,
+    multiply_binomial,
+    neg_q_q_prefix,
+)
 
 
 # -- canonical form ----------------------------------------------------------
@@ -30,6 +35,10 @@ def test_trims_zero_coefficients_at_both_ends():
     s = LaurentSeries(2, [0, 0, 5, 0, 7, 0, 0], 20)
     assert s.offset == 4
     assert s.coeffs == (5, 0, 7)
+
+
+def test_coefficients_wholly_beyond_the_order_collapse_to_empty():
+    assert LaurentSeries(2, [1, 1, 0], 0) == zero(0)
 
 
 def test_all_zero_collapses_to_empty():
@@ -300,7 +309,7 @@ def test_pochhammer_validation():
         pochhammer(ProductFactor(1, 1, 1, 1, -2), 10)
 
 
-# -- in-place binomial kernels -----------------------------------------------
+# -- the reference list kernels ----------------------------------------------
 
 
 def naive_multiply(c, sign, e):
@@ -507,6 +516,76 @@ def test_running_sum_matches_a_sum_of_plain_products(first, second, a, order):
     got = sum_term_family(lambda n: n * n + 4 * n + a, factors, order)
     lo = min(a, 0)
     assert got.coeff_range(lo, order) == [expected.get(k, 0) for k in range(lo, order + 1)]
+
+
+# -- packed kernels against the list reference --------------------------------
+
+
+def outcome(fn, *args):
+    """fn(*args), or the message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def factor_families(draw):
+    """Up to three families, each from shift 1 possibly joined by its inverse.
+
+    A family and its inverse cover the same binomials, so each of those has
+    net power zero unless another family reaches it too.
+    """
+    families = draw(st.lists(product_factors(finite_or_infinite), max_size=3))
+    for f in list(families):
+        if f.shift >= 1 and draw(st.booleans()):
+            families.append(ProductFactor(f.sign, f.shift, f.step, -f.power, f.length))
+    return tuple(draw(st.permutations(families)))
+
+
+huge = st.integers(min_value=-10**30, max_value=10**30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    factor_families(),
+    st.integers(min_value=0, max_value=300),
+    st.integers(min_value=-5, max_value=5),
+    st.lists(huge, min_size=1, max_size=8),
+)
+def test_packed_product_matches_the_list_reference(factors, order, offset, coeffs):
+    x = LaurentSeries(offset, coeffs, order)
+    got = outcome(apply_inverse_factors, x, factors)
+    assert got == outcome(list_apply_inverse_factors, x, factors)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(product_factors(st.just(0)), min_size=1, max_size=3),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=0, max_value=2),
+    huge,
+    huge,
+    st.integers(min_value=0, max_value=300),
+)
+def test_packed_sum_matches_the_list_reference(
+    families, a, b, c, start, constant, scale, order
+):
+    # term n runs families of length n, n + 1, ...; an exponent that stalls
+    # or falls must be refused by both with the same message
+    def factors(n):
+        return tuple(
+            ProductFactor(f.sign, f.shift, f.step, f.power, n + k)
+            for k, f in enumerate(families)
+        )
+
+    def exponent(n):
+        return a * n * n + b * n + c
+
+    args = (exponent, factors, order, start, constant, scale)
+    assert outcome(sum_term_family, *args) == outcome(list_sum_term_family, *args)
 
 
 # -- term summation ----------------------------------------------------------
