@@ -6,7 +6,8 @@ pair counts, bijection image counts, shifted counts, and vendored sequence
 files.  The verifier evaluates all sides over a shared range of weights and
 reports the first disagreement.  A disagreement between two proven sides is a
 hard FAIL; a disagreement confined to an unproven combinatorial reading is
-FLAGGED while the proven sides must still agree among themselves.
+FLAGGED while the proven sides must still agree among themselves.  Within
+one verify run each distinct side value is computed once (``_verify_run``).
 """
 
 from __future__ import annotations
@@ -17,11 +18,12 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .bijections import get_map
 # count_class, enumerate_class, pochhammer and sum_terms are not called here;
@@ -37,9 +39,10 @@ from .series import (  # noqa: F401
     LaurentSeries,
     ProductFactor,
     apply_inverse_factors,
+    decompose_term_family,
+    expand_term_family,
     one,
     pochhammer,
-    sum_term_family,
     sum_terms,
 )
 
@@ -114,12 +117,63 @@ class VerificationReport:
     elapsed_ms: float
 
 
+# -- the side table of a verify run ------------------------------------------
+
+# Side values computed so far in the verify run in progress, by key; None
+# outside a run, so a side read on its own always computes.
+_side_table: dict[Hashable, object] | None = None
+
+
+def _open_side_table() -> None:
+    """Start an empty side table; also each pool worker's initializer."""
+    global _side_table
+    _side_table = {}
+
+
+@contextmanager
+def _verify_run() -> Iterator[None]:
+    """One side table for the run, unless a run is already open."""
+    global _side_table
+    if _side_table is not None:
+        yield
+        return
+    _open_side_table()
+    try:
+        yield
+    finally:
+        _side_table = None
+
+
+def _once(key: Hashable, compute: Callable[[], LaurentSeries]) -> LaurentSeries:
+    """compute(), or the series the run already computed under key."""
+    if _side_table is None:
+        return compute()
+    if key not in _side_table:
+        _side_table[key] = compute()
+    return _side_table[key]
+
+
+def _counts(class_id: str, bound: int) -> list[int]:
+    """count_sequence(class_id, bound), cut from the longest the run holds.
+
+    A count at weight n does not depend on the bound, so a longer table
+    serves every shorter one.
+    """
+    if _side_table is None:
+        return count_sequence(class_id, bound)
+    key = ("count", class_id)
+    held = _side_table.get(key)
+    if held is None or len(held) <= bound:
+        held = _side_table[key] = count_sequence(class_id, bound)
+    return held[:bound + 1]
+
+
 # -- side constructors -------------------------------------------------------
 
 
 def _count_values(class_id: str, shift: int = 0) -> Callable[[int], list[int]]:
     def values(bound: int) -> list[int]:
-        return count_sequence(class_id, bound + shift)[shift:]
+        return _counts(class_id, bound + shift)[shift:]
 
     return values
 
@@ -157,7 +211,9 @@ def _sum_side(
     kind: SideKind = SideKind.SERIES_SUM,
 ) -> Side:
     def values(order: int) -> list[int]:
-        total = sum_term_family(exponent, factors, order, start, constant, scale)
+        terms = decompose_term_family(exponent, factors, order, start)
+        total = _once(("sum", terms, order, constant, scale),
+                      lambda: expand_term_family(terms, order, constant, scale))
         return _checked_prefix(total, order, "summation")
 
     return Side(label, kind, values)
@@ -169,7 +225,9 @@ def _product_side(label: str, factors: tuple[ProductFactor, ...] | None = None) 
         factors = _PRODUCTS[label]
 
     def values(order: int) -> list[int]:
-        return _checked_prefix(apply_inverse_factors(one(order), factors), order, "expansion")
+        product = _once(("product", factors, order),
+                        lambda: apply_inverse_factors(one(order), factors))
+        return _checked_prefix(product, order, "expansion")
 
     return Side(label, SideKind.SERIES_PRODUCT, values)
 
@@ -614,7 +672,8 @@ def verify(identity_id: str, bound: int = DEFAULT_BOUND) -> VerificationReport:
     over all pairs of proven sides.  Side computation errors become FAIL
     reports rather than exceptions.
     """
-    return _verify_record(get_identity(identity_id), bound)
+    with _verify_run():
+        return _verify_record(get_identity(identity_id), bound)
 
 
 def _verify_record(record: IdentityRecord, bound: int) -> VerificationReport:
@@ -722,10 +781,14 @@ def verify_all(
     targets = sorted(ids) if ids is not None else registered_identity_ids()
     tasks = [(i, bound) for i in targets]
     workers = min(jobs or 1, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_verify_task, tasks))
-    return [_verify_task(t) for t in tasks]
+    with _verify_run():
+        if workers > 1:
+            # a spawned or forkserver worker does not inherit the module's
+            # state, so each worker opens its own table for the tasks it runs
+            with ProcessPoolExecutor(max_workers=workers,
+                                     initializer=_open_side_table) as pool:
+                return list(pool.map(_verify_task, tasks))
+        return [_verify_task(t) for t in tasks]
 
 
 # -- report serialization ----------------------------------------------------

@@ -344,17 +344,18 @@ def _unpack(x: int, w: int, slots: int) -> list[int]:
 
 
 def _apply_binomials(
-    x: int, powers: dict[tuple[int, int], int], top: int, w: int
+    x: int, powers: Iterable[tuple[tuple[int, int], int]], top: int, w: int
 ) -> int:
     """x * prod (1 - sign*q^e)^p mod q^(top+1), on packed slots of w bits.
 
-    1/(1 - q^e) is (1 + q^e)(1 + q^2e)(1 + q^4e)... up to the top slot, and
-    1/(1 + q^e) is (1 - q^e) / (1 - q^2e).
+    ``powers`` holds ((sign, e), p) pairs.  1/(1 - q^e) is
+    (1 + q^e)(1 + q^2e)(1 + q^4e)... up to the top slot, and 1/(1 + q^e) is
+    (1 - q^e) / (1 - q^2e).
     """
     mask = (1 << (top + 1) * w) - 1
     x &= mask
     limit = top * w
-    for (sign, e), p in powers.items():
+    for (sign, e), p in powers:
         shift = e * w
         if shift > limit:
             continue
@@ -389,7 +390,7 @@ def apply_inverse_factors(
     if top < 0:
         return zero(order)
     w = _slot_width(abs(coef) * sum(map(abs, series.coeffs)), powers, top)
-    x = _apply_binomials(_pack(series.coeffs, w), powers, top, w)
+    x = _apply_binomials(_pack(series.coeffs, w), powers.items(), top, w)
     return LaurentSeries(m, _unpack(coef * x, w, top + 1), order)
 
 
@@ -441,31 +442,29 @@ def sum_terms(
     return total
 
 
-def sum_term_family(
+# One term of a decomposed sum: q^m, its integer coef, and the binomials
+# (sign, e) whose net power changed from the term before, with the change,
+# as an order-free set.
+SumTerm = tuple[int, int, frozenset[tuple[tuple[int, int], int]]]
+
+
+def decompose_term_family(
     exponent: Callable[[int], int],
     factors: Callable[[int], tuple[ProductFactor, ...]],
     order: int,
     start: int = 0,
-    constant: int = 0,
-    scale: int = 1,
-) -> LaurentSeries:
-    """constant + scale * sum_{n >= start} q^exponent(n) * prod factors(n).
+) -> tuple[SumTerm, ...]:
+    """Split each term of sum_{n >= start} q^exponent(n) * prod factors(n).
 
-    The terms share one running body: term n is coef * q^m * body, split by
-    ``_net_binomials``.  Stepping the body from term n-1 to term n
-    multiplies or divides it by just the binomials whose net power changed,
-    and it is kept to q^(order - m).
-
-    Summation stops at the first term whose lowest exponent m exceeds the
-    order.  That exponent must not decrease from one term to the next, nor
-    stay put for more than ``STALL_GUARD`` terms.  Every term is split
-    before any is expanded, so the slot width can bound the whole sum:
-    |constant| + |scale| * sum |coef| times the bound for the largest |power|
-    each binomial reaches.
+    Term n is coef * q^m * body, split by ``_net_binomials``; the body is
+    kept as the change in net powers from term n-1, so two families that
+    split into the same binomials give equal results.  The split stops at
+    the first term whose lowest exponent m exceeds the order.  That exponent
+    must not decrease from one term to the next, nor stay put for more than
+    ``STALL_GUARD`` terms.
     """
-    steps: list[tuple[int, int, dict[tuple[int, int], int]]] = []
+    terms: list[SumTerm] = []
     held: dict[tuple[int, int], int] = {}
-    reach: dict[tuple[int, int], int] = {}
     last_min: int | None = None
     stall = 0
     n = start
@@ -477,22 +476,60 @@ def sum_term_family(
         last_min = m
         changed = {}
         for key, _ in held.items() ^ powers.items():
-            p = powers.get(key, 0)
-            changed[key] = p - held.get(key, 0)
-            reach[key] = max(reach.get(key, 0), abs(p))
-        steps.append((m, coef, changed))
+            delta = powers.get(key, 0) - held.get(key, 0)
+            if delta:
+                changed[key] = delta
+        terms.append((m, coef, frozenset(changed.items())))
         held = powers
         n += 1
-    if not steps:
+    return tuple(terms)
+
+
+def expand_term_family(
+    terms: tuple[SumTerm, ...], order: int, constant: int = 0, scale: int = 1
+) -> LaurentSeries:
+    """constant + scale * the sum of decomposed terms, through q^order.
+
+    The terms share one running body: stepping it from one term to the next
+    multiplies or divides it by just the binomials whose net power changed,
+    and it is kept to q^(order - m).  The slot width bounds the whole sum:
+    |constant| + |scale| * sum |coef| times the bound for the largest |power|
+    each binomial reaches.
+    """
+    if not terms:
         return LaurentSeries(0, [constant], order)
-    lo = min(steps[0][0], 0)
-    magnitude = abs(constant) + abs(scale) * sum(abs(coef) for _, coef, _ in steps)
-    w = _slot_width(magnitude, reach, order - steps[0][0])
+    held: dict[tuple[int, int], int] = {}
+    reach: dict[tuple[int, int], int] = {}
+    for _, _, changed in terms:
+        for key, delta in changed:
+            p = held[key] = held.get(key, 0) + delta
+            reach[key] = max(reach.get(key, 0), abs(p))
+    lo = min(terms[0][0], 0)
+    magnitude = abs(constant) + abs(scale) * sum(abs(coef) for _, coef, _ in terms)
+    w = _slot_width(magnitude, reach, order - terms[0][0])
     body = 1
     total = 0
-    for m, coef, changed in steps:
+    for m, coef, changed in terms:
         body = _apply_binomials(body, changed, order - m, w)
         if coef:
             total += coef * (body << (m - lo) * w)
     total = scale * total + (constant << -lo * w)
     return LaurentSeries(lo, _unpack(total, w, order - lo + 1), order)
+
+
+def sum_term_family(
+    exponent: Callable[[int], int],
+    factors: Callable[[int], tuple[ProductFactor, ...]],
+    order: int,
+    start: int = 0,
+    constant: int = 0,
+    scale: int = 1,
+) -> LaurentSeries:
+    """constant + scale * sum_{n >= start} q^exponent(n) * prod factors(n).
+
+    The family is split term by term (``decompose_term_family``) before any
+    term is expanded (``expand_term_family``).
+    """
+    return expand_term_family(
+        decompose_term_family(exponent, factors, order, start), order, constant, scale
+    )

@@ -205,12 +205,10 @@ def list_apply_inverse_factors(series, factors):
     return LaurentSeries(m, c if coef == 1 else map(mul, c, repeat(coef)), order)
 
 
-def list_sum_term_family(exponent, factors, order, start=0, constant=0, scale=1):
-    """``series.sum_term_family`` with its running body on a dense list."""
-    body: list[int] = []
+def _list_split_terms(exponent, factors, order, start):
+    """(m, coef, {(sign, e): change in net power}) for each term of a family."""
+    terms = []
     held: dict[tuple[int, int], int] = {}
-    total: list[int] | None = None
-    lo = 0
     last_min = None
     stall = 0
     n = start
@@ -220,26 +218,42 @@ def list_sum_term_family(exponent, factors, order, start=0, constant=0, scale=1)
             break
         stall = _guard_step(last_min, m, stall, STALL_GUARD)
         last_min = m
+        terms.append((m, coef, {
+            key: powers.get(key, 0) - held.get(key, 0)
+            for key in held.keys() | powers.keys()
+        }))
+        held = powers
+        n += 1
+    return terms
+
+
+def list_expand_term_family(terms, order, constant=0, scale=1):
+    """``series.expand_term_family`` with its running body on a dense list."""
+    body: list[int] = []
+    total: list[int] | None = None
+    lo = 0
+    for m, coef, changed in terms:
         if total is None:
             lo = min(m, 0)
             total = [0] * (order - lo + 1)
             body = [1] + [0] * (order - m)
         del body[order - m + 1:]
-        _apply_net_powers(body, {
-            key: powers.get(key, 0) - held.get(key, 0)
-            for key in held.keys() | powers.keys()
-        })
-        held = powers
+        _apply_net_powers(body, dict(changed))
         if coef:
             term = body if coef == 1 else map(mul, body, repeat(coef))
             total[m - lo:] = map(add, total[m - lo:], term)
-        n += 1
     if total is None:
         total = [0] * (order + 1)
     if scale != 1:
         total[:] = map(mul, total, repeat(scale))
     total[-lo] += constant
     return LaurentSeries(lo, total, order)
+
+
+def list_sum_term_family(exponent, factors, order, start=0, constant=0, scale=1):
+    """``series.sum_term_family`` with its running body on a dense list."""
+    terms = _list_split_terms(exponent, factors, order, start)
+    return list_expand_term_family(terms, order, constant, scale)
 
 
 # -- Frobenius-symbol walks ---------------------------------------------------

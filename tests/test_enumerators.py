@@ -175,6 +175,15 @@ def test_count_class_reads_the_sequence(class_id):
     assert [count_class(class_id, n) for n in range(limit)] == sequence[:limit]
 
 
+@pytest.mark.parametrize("class_id", registered_class_ids())
+def test_count_sequence_is_prefix_stable(class_id):
+    # a count at weight n does not depend on the bound, so a verify run may
+    # cut every shorter table from the longest it has computed
+    longest = count_sequence(class_id, 40)
+    for k in (0, 1, 17, 35):
+        assert longest[:k + 1] == count_sequence(class_id, k), k
+
+
 def test_overpartition_sequence_matches_its_product_to_120():
     # (-q;q)_inf / (q;q)_inf, expanded by the series layer
     order = 120

@@ -132,12 +132,29 @@ def test_verify_all_records_match_the_benchmark_digest():
     assert hashlib.sha256(text.encode()).hexdigest() == want
 
 
+def test_verify_all_records_at_200_are_pinned():
+    # at 200 the transport targets (cap 35) read prefixes of longer count
+    # tables, and the series sides run to order 200
+    text = render_records(verify_all(200), include_elapsed=False)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "4ca7cebb636f566ab9d8fa9d912188956678317e3b07ada00b365b8085f99b16")
+
+
+# ids whose records share sides: count:d, the (-q^2;q^4)/(q^2;q^4) product,
+# the rr1-over count and sums equal across records
+SHARING_IDS = ["euler", "dk:k=1", "thmd", "frr", "hgl3", "hgll3", "lebesgue:a=1,b=0",
+               "transport:h-eo:rr1", "stembridge:lg1"]
+
+
 def test_verify_all_accepts_an_id_subset_and_parallel_jobs():
-    ids = ["frr", "euler", "stembridge:lg1"]
-    serial = verify_all(6, ids=ids)
-    parallel = verify_all(6, ids=ids, jobs=2)
-    assert [r.id for r in serial] == sorted(ids)
-    assert [(r.id, r.status) for r in serial] == [(r.id, r.status) for r in parallel]
+    bound = 40
+    serial = verify_all(bound, ids=SHARING_IDS)
+    assert [r.id for r in serial] == sorted(SHARING_IDS)
+    parallel = verify_all(bound, ids=SHARING_IDS, jobs=2)
+    one_by_one = [verify(i, bound) for i in sorted(SHARING_IDS)]
+    text = render_records(serial, include_elapsed=False)
+    assert render_records(parallel, include_elapsed=False) == text
+    assert render_records(one_by_one, include_elapsed=False) == text
 
 
 @pytest.mark.parametrize("cpus,pool_sizes", [(4, [2]), (1, []), (None, [])])
@@ -147,8 +164,9 @@ def test_verify_all_clamps_the_pool_to_tasks_and_cpus(monkeypatch, cpus, pool_si
     class RecordingPool:
         """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer):
             sizes.append(max_workers)
+            initializer()
 
         def __enter__(self):
             return self
@@ -164,6 +182,54 @@ def test_verify_all_clamps_the_pool_to_tasks_and_cpus(monkeypatch, cpus, pool_si
     reports = verify_all(4, ids=["frr", "euler"], jobs=3)
     assert [r.status for r in reports] == ["PASS", "PASS"]
     assert sizes == pool_sizes
+    assert harness._side_table is None
+
+
+def test_each_distinct_side_is_computed_once_per_run(monkeypatch):
+    calls = {}
+
+    def counted(name):
+        fn = getattr(harness, name)
+
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+
+        monkeypatch.setattr(harness, name, wrapper)
+
+    for name in ("count_sequence", "apply_inverse_factors", "expand_term_family"):
+        counted(name)
+    once = {"count_sequence": 48, "apply_inverse_factors": 14, "expand_term_family": 38}
+    first = render_records(verify_all(40), include_elapsed=False)
+    assert calls == once
+    assert harness._side_table is None
+    # nothing survives a run: the same run computes the same sides again
+    calls.clear()
+    assert render_records(verify_all(40), include_elapsed=False) == first
+    assert calls == once
+    # outside a run every read computes, and no two reads share a list
+    calls.clear()
+    frr = get_identity("frr").sides
+    reads = [side.values(10) for side in frr + frr]
+    assert calls == {"count_sequence": 6, "expand_term_family": 2}
+    assert reads[:4] == reads[4:]
+    assert len({id(r) for r in reads}) == len(reads)
+
+
+def test_sides_that_share_a_key_get_their_own_lists():
+    with harness._verify_run():
+        lebesgue = get_identity("lebesgue:a=1,b=0").sides
+        first = [side.values(40) for side in lebesgue]
+        first[0][0] = 99
+        assert [side.values(40) for side in lebesgue][0][0] == 1
+        assert first[1] is not first[0]
+        # a count read at a shorter bound is a prefix of the longer table
+        d = harness._count_values("d")
+        longer = d(40)
+        assert d(12) == longer[:13]
+        longer[0] = 99
+        assert d(40)[0] == 1
+    assert harness._side_table is None
 
 
 def test_every_side_has_values_and_only_sum_product_scaled_sides_are_series():
@@ -202,10 +268,26 @@ SERIES_SIDES = [s for r in builtin_identities() for s in r.sides if s.is_series]
 @pytest.fixture(scope="module")
 def list_reference_at_800():
     """Every series side's values(800) from the list kernels of tests/oracles.py."""
+    calls = []
+
+    def listed(name, kernel):
+        def wrapper(*args):
+            calls.append(name)
+            return kernel(*args)
+
+        return wrapper
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness, "apply_inverse_factors", oracles.list_apply_inverse_factors)
-        mp.setattr(harness, "sum_term_family", oracles.list_sum_term_family)
-        return [side.values(800) for side in SERIES_SIDES]
+        mp.setattr(harness, "apply_inverse_factors",
+                   listed("product", oracles.list_apply_inverse_factors))
+        mp.setattr(harness, "expand_term_family",
+                   listed("sum", oracles.list_expand_term_family))
+        reference = [side.values(800) for side in SERIES_SIDES]
+    # the list kernels replaced every expansion, so no packed side is
+    # compared with itself
+    assert calls.count("product") == sum(s.kind == SideKind.SERIES_PRODUCT for s in SERIES_SIDES)
+    assert calls.count("sum") == len(SERIES_SIDES) - calls.count("product")
+    return reference
 
 
 def test_series_sides_at_800_match_the_list_reference(list_reference_at_800):
